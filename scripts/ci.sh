@@ -39,6 +39,11 @@
 #      scripts/bench_gate --exec BENCH_exec.json --obs BENCH_obs.json \
 #        --profile BENCH_profile.json --refresh
 #    and commit bench/baselines/*.json;
+#  * node  — the node-path benchmark's own checks: configures bench/node
+#    into .bench_build and runs its ctest (node_bench_smoke, a short run of
+#    every BENCHMARK.json workload, and node_bench_selftest, the negative
+#    controls including a doctored-state-root block every validator must
+#    reject);
 #  * bench-large — the same bench with TXCONC_BENCH_LARGE=1: adds the
 #    10k-tx concatenated-block cells (reduced reps) and enforces the
 #    large-block attainment floor (wall_speedup > 1 at >= 4 threads on
@@ -57,7 +62,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
-LANES="${TXCONC_CI_LANES:-tier1,asan,tsan,tsa,tidy,lint,bench,bench-large}"
+LANES="${TXCONC_CI_LANES:-tier1,asan,tsan,tsa,tidy,lint,bench,node,bench-large}"
 
 lane_enabled() {
   case ",${LANES}," in
@@ -284,6 +289,17 @@ PYEOF
     exit 1
   fi
   echo "bench negative control OK: injected slowdown tripped the gate"
+fi
+
+# --- node lane: node-path benchmark smoke + negative controls --------------
+# bench/node is a CMake project of its own (bench/node/README.md), built
+# into the same .bench_build tree bench/node/run.py uses.
+if lane_enabled node; then
+  echo "== lane: node =="
+  cmake -S bench/node -B .bench_build -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build -j"${JOBS}"
+  ctest --test-dir .bench_build --output-on-failure
+  echo "node lane OK: node_bench smoke and self-test passed"
 fi
 
 # --- bench-large lane: block-size scaling smoke ----------------------------

@@ -124,7 +124,7 @@ void StateDb::revert(Snapshot snap) {
     std::visit(
         [this](const auto& e) {
           using T = std::decay_t<decltype(e)>;
-          AccountRecord& rec = accounts_[e.addr];
+          AccountRecord& rec = record(e.addr);
           if constexpr (std::is_same_v<T, BalanceEntry>) {
             rec.balance = e.old_value;
           } else if constexpr (std::is_same_v<T, NonceEntry>) {
@@ -139,7 +139,21 @@ void StateDb::revert(Snapshot snap) {
   }
 }
 
-void StateDb::flush_journal() { journal_.clear(); }
+void StateDb::flush_journal() {
+  if (holds_ == 0) journal_.clear();
+}
+
+void StateDb::clear_dirty() {
+  for (const Address& addr : dirty_) accounts_.find(addr)->second.dirty = false;
+  dirty_.clear();
+}
+
+JournalHold::JournalHold(StateDb& db) : db_(db) {
+  if (!db_.journaling_) {
+    throw UsageError("JournalHold: journaling is paused");
+  }
+  ++db_.holds_;
+}
 
 std::uint64_t StateDb::total_supply() const {
   std::uint64_t sum = 0;

@@ -136,6 +136,7 @@ class StateDb final : public State {
   void revert(Snapshot snap) override;
 
   /// Drop the journal (changes become permanent; snapshots invalidated).
+  /// A no-op while a JournalHold is held.
   TXCONC_HOT void flush_journal();
 
   /// Toggle undo journaling. While off, writes skip the journal entirely,
@@ -144,9 +145,17 @@ class StateDb final : public State {
   /// them. The engines'
   /// commit phases use this (via JournalPause) because committed overlay
   /// values are never rolled back — journaling them only to flush is pure
-  /// allocation traffic on the hot path.
-  void set_journaling(bool on) { journaling_ = on; }
+  /// allocation traffic on the hot path. While a JournalHold is held,
+  /// journaling stays on.
+  void set_journaling(bool on) { journaling_ = on || holds_ > 0; }
   bool journaling() const { return journaling_; }
+
+  /// Addresses written (or restored by revert) since the last
+  /// clear_dirty(), each listed once. Recorded whether or not journaling
+  /// is on, so it covers engine commits under JournalPause too; a node
+  /// re-hashes exactly these accounts into its state trie.
+  const std::vector<Address>& dirty_accounts() const { return dirty_; }
+  void clear_dirty();
 
   std::size_t num_accounts() const { return accounts_.size(); }
   /// Sum of all balances (invariant checks in tests).
@@ -166,11 +175,14 @@ class StateDb final : public State {
       const std::function<void(const Address&)>& fn) const;
 
  private:
+  friend class JournalHold;
+
   struct AccountRecord {
     std::uint64_t balance = 0;
     std::uint64_t nonce = 0;
     std::shared_ptr<const ContractCode> code;  // shared with overlays
     std::unordered_map<StorageKey, std::uint64_t> storage;
+    bool dirty = false;  // listed in dirty_
   };
 
   struct BalanceEntry {
@@ -193,12 +205,39 @@ class StateDb final : public State {
   using JournalEntry =
       std::variant<BalanceEntry, NonceEntry, CodeEntry, StorageEntry>;
 
-  AccountRecord& record(const Address& addr) { return accounts_[addr]; }
+  /// The record a write lands in, marked dirty.
+  AccountRecord& record(const Address& addr) {
+    AccountRecord& rec = accounts_[addr];
+    if (!rec.dirty) {
+      rec.dirty = true;
+      dirty_.push_back(addr);
+    }
+    return rec;
+  }
   const AccountRecord* find(const Address& addr) const;
 
   std::unordered_map<Address, AccountRecord> accounts_;
   mutable std::vector<JournalEntry> journal_;
+  std::vector<Address> dirty_;
   bool journaling_ = true;
+  unsigned holds_ = 0;  // live JournalHolds
+};
+
+/// RAII hold on a StateDb's undo journal, taken by the owner of a block's
+/// rollback (a node validating a block). While held, executors'
+/// flush_journal() keeps the journal and their JournalPause keeps
+/// journaling on, so the holder's revert() still undoes every write the
+/// block made. Take it with journaling on; flush after releasing it.
+class JournalHold {
+ public:
+  explicit JournalHold(StateDb& db);
+  ~JournalHold() { --db_.holds_; }
+
+  JournalHold(const JournalHold&) = delete;
+  JournalHold& operator=(const JournalHold&) = delete;
+
+ private:
+  StateDb& db_;
 };
 
 /// RAII journaling pause for a commit phase (see StateDb::set_journaling).

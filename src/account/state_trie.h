@@ -4,12 +4,15 @@
 //
 // Keys are addresses (traversed bit-by-bit over the first kDepth bits of
 // the address hash); leaves hold the account digest. Empty subtrees hash
-// to known per-level constants so sparse tries stay O(accounts).
+// to known per-level constants. The trie is path-compressed: nodes exist
+// only at leaves and branch points, so its size is O(accounts), and the
+// empty runs of an edge are folded into the hash cached at the edge's top
+// (DESIGN.md §18). The root is a function of the leaf set alone: it equals
+// that of the uncompressed kDepth-level trie.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "account/state.h"
@@ -20,10 +23,19 @@ namespace txconc::account {
 /// A sparse binary Merkle trie keyed by address.
 class StateTrie {
  public:
-  StateTrie();
+  /// One leaf assignment; a zero digest erases the address.
+  struct Leaf {
+    Address address;
+    Hash256 digest;
+  };
 
   /// Insert or update the digest stored for an address.
   void update(const Address& addr, const Hash256& leaf_digest);
+
+  /// Apply a batch of leaf assignments, then re-hash each node they
+  /// touched once: the upper levels shared by the batch hash once, not
+  /// once per leaf.
+  void update(std::span<const Leaf> leaves);
 
   /// Remove an address (resets its leaf to the empty marker).
   void erase(const Address& addr);
@@ -51,29 +63,55 @@ class StateTrie {
   static constexpr unsigned kDepth = 48;
 
  private:
+  /// The first kDepth bits of SHA-256(address), most significant first.
+  using Key = std::uint64_t;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// A leaf (depth == kDepth) or a branch splitting on bit `depth`.
   struct Node {
-    std::unique_ptr<Node> child[2];
+    /// Subtree hash lifted to the top of the node's incoming edge: depth
+    /// parent.depth + 1, or 0 for the root node.
     Hash256 hash;
-    bool is_leaf = false;
+    Hash256 digest;  ///< Leaves only.
+    /// A leaf's key; for a branch, any key below it (the bits above
+    /// `depth` are shared by the whole subtree).
+    Key key = 0;
+    std::uint32_t child[2] = {kNone, kNone};
+    std::uint8_t depth = kDepth;
+    bool stale = true;  ///< `hash` must be recomputed.
   };
 
   static const std::vector<Hash256>& empty_hashes();
   static Hash256 combine(const Hash256& left, const Hash256& right);
-  static bool bit_at(const Address& addr, unsigned depth);
+  static Key key_of(const Address& addr);
+  /// Number of leading key bits two keys share (kDepth when equal).
+  static unsigned common_prefix(Key a, Key b);
+  static unsigned bit(Key key, unsigned depth) {
+    return static_cast<unsigned>(key >> (kDepth - 1 - depth)) & 1u;
+  }
 
-  void update_path(Node& node, const Address& addr, unsigned depth,
-                   const Hash256& leaf_digest, bool erasing);
+  std::uint32_t& link(std::uint32_t parent, unsigned side) {
+    return parent == kNone ? root_ : nodes_[parent].child[side];
+  }
+  std::uint32_t new_node(Key key, unsigned depth);
+  void mark_path_stale();
 
-  std::unique_ptr<Node> root_;
+  /// Structural edits; they mark the touched path stale, rehash() fixes it.
+  void set(Key key, const Hash256& digest);
+  void remove(Key key);
+  void rehash(std::uint32_t index, unsigned top);
+  /// The node's own subtree hash lifted from its depth up to `top`.
+  Hash256 lifted(const Node& node, unsigned top) const;
+
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> free_;  // indices of released nodes
+  std::vector<std::uint32_t> path_;  // scratch: the last edit's ancestors
+  std::uint32_t root_ = kNone;
   std::size_t size_ = 0;
 };
 
-/// Compute the canonical digest of one account's state (balance, nonce,
-/// storage, code) as stored in trie leaves.
-Hash256 account_leaf_digest(const StateDb& state, const Address& addr);
-
-/// Build the full state trie of a StateDb — O(accounts). Used when a
-/// block producer commits to its post-state.
+/// Build the full state trie of a StateDb — O(accounts). The reference
+/// the incremental node root (chain::AccountNode) is tested against.
 StateTrie build_state_trie(const StateDb& state);
 
 }  // namespace txconc::account

@@ -101,6 +101,16 @@ std::vector<account::Receipt> AccountNode::execute(
   return receipts;
 }
 
+Hash256 AccountNode::state_root() {
+  dirty_leaves_.clear();
+  for (const Address& addr : state_.dirty_accounts()) {
+    dirty_leaves_.push_back({addr, state_.account_digest(addr)});
+  }
+  state_.clear_dirty();
+  trie_.update(dirty_leaves_);
+  return trie_.root();
+}
+
 Block<account::AccountTx> AccountNode::produce_block(
     std::uint64_t timestamp, obs::TraceContext* trace_out) {
   const MutexLock lock(mu_);
@@ -172,7 +182,7 @@ Block<account::AccountTx> AccountNode::produce_block(
   if (config_.commit_state_root) {
     const obs::CausalSpan span(tracer, obs::names::kSpanStateRoot, obs::names::kCatChain,
                                block_span.context());
-    block.header.state_root = account::build_state_trie(state_).root();
+    block.header.state_root = state_root();
   }
   if (config_.mine) {
     const obs::CausalSpan span(tracer, obs::names::kSpanPow, obs::names::kCatChain,
@@ -229,34 +239,40 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     throw ValidationError("proof of work does not meet the target");
   }
 
-  // Re-execute and verify the gas commitment; roll back on any failure.
-  const account::Snapshot pre_block = state_.snapshot();
-  try {
-    std::vector<account::Receipt> receipts;
-    {
-      const obs::CausalSpan span(
-          tracer, obs::names::kSpanExecute, obs::names::kCatChain, block_span.context(),
-          static_cast<std::int64_t>(block.transactions.size()));
-      // The executor joins the block's trace through RuntimeConfig::trace
-      // (its execute_block span becomes a child of this one).
-      receipts = execute(state_, block.transactions, span.context());
+  // Re-execute and verify the commitments; roll back on any failure. The
+  // hold keeps the executor's own flush_journal and JournalPause from
+  // dropping the undo journal, so the rollback covers every engine.
+  {
+    const account::JournalHold hold(state_);
+    const account::Snapshot pre_block = state_.snapshot();
+    try {
+      std::vector<account::Receipt> receipts;
+      {
+        const obs::CausalSpan span(
+            tracer, obs::names::kSpanExecute, obs::names::kCatChain, block_span.context(),
+            static_cast<std::int64_t>(block.transactions.size()));
+        // The executor joins the block's trace through RuntimeConfig::trace
+        // (its execute_block span becomes a child of this one).
+        receipts = execute(state_, block.transactions, span.context());
+      }
+      std::uint64_t gas_used = 0;
+      for (const auto& r : receipts) gas_used += r.gas_used;
+      if (gas_used != block.header.gas_used) {
+        throw ValidationError("gas_used commitment mismatch");
+      }
+      if (gas_used > config_.block_gas_limit) {
+        throw ValidationError("block exceeds the gas limit");
+      }
+      if (config_.commit_state_root &&
+          state_root() != block.header.state_root) {
+        // The revert below re-marks the restored accounts dirty, so the
+        // next root re-syncs the trie to the pre-block state.
+        throw ValidationError("state root commitment mismatch");
+      }
+    } catch (...) {
+      state_.revert(pre_block);
+      throw;
     }
-    std::uint64_t gas_used = 0;
-    for (const auto& r : receipts) gas_used += r.gas_used;
-    if (gas_used != block.header.gas_used) {
-      throw ValidationError("gas_used commitment mismatch");
-    }
-    if (gas_used > config_.block_gas_limit) {
-      throw ValidationError("block exceeds the gas limit");
-    }
-    if (config_.commit_state_root &&
-        account::build_state_trie(state_).root() !=
-            block.header.state_root) {
-      throw ValidationError("state root commitment mismatch");
-    }
-  } catch (...) {
-    state_.revert(pre_block);
-    throw;
   }
   {
     const obs::CausalSpan span(tracer, obs::names::kSpanCommit, obs::names::kCatChain,

@@ -36,7 +36,9 @@ struct AccountNodeConfig {
   bool mine = false;
   std::uint64_t mine_budget = 1'000'000;
   /// Commit the post-state trie root into headers and verify it when
-  /// receiving blocks (O(accounts) per block).
+  /// receiving blocks. The node keeps one persistent trie and re-hashes
+  /// only the accounts written since the last root: O(dirty accounts) per
+  /// block (DESIGN.md §18).
   bool commit_state_root = true;
   /// Chrome-trace process row this node's spans land under ("node-A",
   /// "node-B", ...); interned at construction. Multi-node runs give each
@@ -84,9 +86,10 @@ class AccountNode {
 
   /// Validate a block received from a peer: linkage, merkle root, PoW
   /// (when the header carries a mined nonce), then re-execute and check
-  /// the header's gas_used commitment. On success the block is appended
-  /// and the state advanced; on failure the state is untouched and
-  /// ValidationError is thrown. `trace` is the message-envelope causal
+  /// the header's gas_used and state_root commitments. On success the
+  /// block is appended and the state advanced; on failure the state is
+  /// untouched, whichever executor ran the block, and ValidationError is
+  /// thrown. `trace` is the message-envelope causal
   /// context relayed with the block (zero = start a fresh trace).
   void receive_block(const Block<account::AccountTx>& block,
                      const obs::TraceContext& trace = {});
@@ -124,6 +127,10 @@ class AccountNode {
                                         const obs::TraceContext& trace)
       REQUIRES(mu_);
 
+  /// Root of the current state: re-hashes the accounts written since the
+  /// last call into trie_, then reads its root.
+  Hash256 state_root() REQUIRES(mu_);
+
   mutable Mutex mu_;
   AccountNodeConfig config_;   // immutable after construction
   BlockExecutionFn executor_;  // immutable after construction
@@ -131,6 +138,9 @@ class AccountNode {
   account::StateDb state_ GUARDED_BY(mu_);
   Ledger<account::AccountTx> ledger_ GUARDED_BY(mu_);
   Mempool<account::AccountTx> mempool_ GUARDED_BY(mu_);
+  /// Synced to state_ lazily, at the first root after a write.
+  account::StateTrie trie_ GUARDED_BY(mu_);
+  std::vector<account::StateTrie::Leaf> dirty_leaves_ GUARDED_BY(mu_);
 };
 
 }  // namespace txconc::chain

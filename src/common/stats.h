@@ -51,7 +51,10 @@ class WeightedMean {
 /// Exact quantiles over a stored sample (fine at our data sizes).
 class Quantiles {
  public:
-  void add(double x) { values_.push_back(x); }
+  void add(double x) {
+    values_.push_back(x);
+    sorted_ = false;
+  }
 
   /// q in [0, 1]; linear interpolation between order statistics.
   double quantile(double q) const;

@@ -997,6 +997,61 @@ TEST(JournalPauseTest, SnapshotAndRevertThrowWhilePaused) {
   EXPECT_EQ(db.balance(addr(1)), 100u);  // the failed revert touched nothing
 }
 
+TEST(JournalHoldTest, HeldJournalSurvivesExecutorFlushAndPause) {
+  // An executor flushes and pauses the journal inside execute_block; the
+  // node's hold keeps both from dropping the block's undo records.
+  StateDb db;
+  db.set_balance(addr(1), 100);
+  db.flush_journal();
+  {
+    const JournalHold hold(db);
+    const Snapshot snap = db.snapshot();
+    db.set_balance(addr(1), 40);
+    db.flush_journal();  // held: keeps the journal
+    {
+      const JournalPause pause(db);
+      EXPECT_TRUE(db.journaling());  // held: stays on
+      db.set_storage(addr(2), 7, 9);
+    }
+    EXPECT_TRUE(db.journaling());
+    db.revert(snap);
+  }
+  EXPECT_EQ(db.balance(addr(1)), 100u);
+  EXPECT_EQ(db.storage(addr(2), 7), 0u);
+  // Released: flushes and pauses work again.
+  db.set_balance(addr(1), 5);
+  db.flush_journal();
+  EXPECT_EQ(db.snapshot(), 0u);
+  const JournalPause pause(db);
+  EXPECT_FALSE(db.journaling());
+  EXPECT_THROW(JournalHold{db}, UsageError);  // a hold needs journaling on
+}
+
+TEST(DirtyAccounts, EveryWriteAndRevertListsItsAccountOnce) {
+  StateDb db;
+  db.set_balance(addr(1), 10);
+  db.set_nonce(addr(1), 1);
+  db.set_storage(addr(2), 3, 4);
+  EXPECT_EQ(db.dirty_accounts(), (std::vector<Address>{addr(1), addr(2)}));
+  db.clear_dirty();
+  EXPECT_TRUE(db.dirty_accounts().empty());
+
+  // Paused writes are listed too: engines commit under JournalPause.
+  {
+    const JournalPause pause(db);
+    db.set_code(addr(3), ContractCode{});
+  }
+  const Snapshot snap = db.snapshot();
+  db.set_balance(addr(1), 11);
+  EXPECT_EQ(db.dirty_accounts(), (std::vector<Address>{addr(3), addr(1)}));
+  db.clear_dirty();
+
+  // A revert re-lists the accounts it restores.
+  db.revert(snap);
+  EXPECT_EQ(db.dirty_accounts(), (std::vector<Address>{addr(1)}));
+  EXPECT_EQ(db.balance(addr(1)), 10u);
+}
+
 TEST(ReceiptReset, ClearsFieldsButKeepsCapacity) {
   Receipt receipt;
   receipt.success = true;

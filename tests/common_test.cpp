@@ -409,6 +409,18 @@ TEST(Quantiles, MedianAndExtremes) {
   EXPECT_DOUBLE_EQ(q.quantile(0.25), 2.0);
 }
 
+TEST(Quantiles, AddAfterQuantileResorts) {
+  Quantiles q;
+  for (double v : {3.0, 1.0, 2.0}) q.add(v);
+  EXPECT_DOUBLE_EQ(q.median(), 2.0);
+  // Values added after a quantile() call land unsorted in the tail.
+  q.add(0.0);
+  q.add(-1.0);
+  EXPECT_DOUBLE_EQ(q.quantile(0.0), -1.0);
+  EXPECT_DOUBLE_EQ(q.median(), 1.0);
+  EXPECT_DOUBLE_EQ(q.quantile(1.0), 3.0);
+}
+
 TEST(Quantiles, ThrowsOnEmptyOrBadQ) {
   Quantiles q;
   EXPECT_THROW(q.quantile(0.5), UsageError);

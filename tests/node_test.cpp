@@ -6,6 +6,7 @@
 #include "chain/network.h"
 #include "chain/node.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "exec/executor.h"
 
 namespace txconc::chain {
@@ -24,6 +25,30 @@ account::AccountTx make_tx(const Address& from, const Address& to,
   tx.gas_limit = 30000;
   tx.gas_price = gas_price;
   return tx;
+}
+
+/// The node's built-in executor ("") followed by every registry engine.
+std::vector<std::string> engine_names() {
+  std::vector<std::string> names = {""};
+  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
+    names.push_back(spec.name);
+  }
+  return names;
+}
+
+/// A node that executes received blocks with the named registry engine,
+/// or with its built-in sequential path for "".
+std::unique_ptr<AccountNode> make_node(const std::string& engine_name) {
+  if (engine_name.empty()) return std::make_unique<AccountNode>();
+  std::shared_ptr<exec::BlockExecutor> engine =
+      exec::make_executor(engine_name, 2);
+  return std::make_unique<AccountNode>(
+      AccountNodeConfig{},
+      [engine](account::StateDb& state,
+               std::span<const account::AccountTx> txs,
+               const account::RuntimeConfig& config) {
+        return engine->execute_block(state, txs, config).receipts;
+      });
 }
 
 class AccountNodeTest : public ::testing::Test {
@@ -131,33 +156,43 @@ TEST_F(AccountNodeTest, ReceiveBlockRejectsTampering) {
   node_.submit_transaction(make_tx(addr(1), addr(3), 1000, 0));
   const auto block = node_.produce_block(1);
 
-  AccountNode validator;
-  validator.genesis_fund(addr(1), 10'000'000);
-  validator.genesis_fund(addr(2), 10'000'000);
+  // Every engine flushes the journal inside execute_block and the
+  // parallel ones commit under JournalPause; a rejected block must still
+  // roll back on each of them.
+  for (const std::string& engine : engine_names()) {
+    SCOPED_TRACE("engine '" + engine + "'");
+    const auto validator = make_node(engine);
+    validator->genesis_fund(addr(1), 10'000'000);
+    validator->genesis_fund(addr(2), 10'000'000);
+    const Hash256 genesis = validator->state().digest();
 
-  // Tampered transaction (merkle mismatch).
-  auto tampered = block;
-  tampered.transactions[0].value = 999999;
-  EXPECT_THROW(validator.receive_block(tampered), ValidationError);
+    // Tampered transaction (merkle mismatch).
+    auto tampered = block;
+    tampered.transactions[0].value = 999999;
+    EXPECT_THROW(validator->receive_block(tampered), ValidationError);
 
-  // Tampered gas commitment.
-  auto bad_gas = block;
-  bad_gas.header.gas_used += 1;
-  // Header change breaks nothing structurally until re-execution compares.
-  EXPECT_THROW(validator.receive_block(bad_gas), ValidationError);
+    // Tampered gas commitment. Header change breaks nothing structurally
+    // until re-execution compares.
+    auto bad_gas = block;
+    bad_gas.header.gas_used += 1;
+    EXPECT_THROW(validator->receive_block(bad_gas), ValidationError);
 
-  // Tampered state-root commitment.
-  auto bad_root = block;
-  bad_root.header.state_root = Hash256::from_seed(666);
-  EXPECT_THROW(validator.receive_block(bad_root), ValidationError);
+    // Tampered state-root commitment.
+    auto bad_root = block;
+    bad_root.header.state_root = Hash256::from_seed(666);
+    EXPECT_THROW(validator->receive_block(bad_root), ValidationError);
 
-  // State must be untouched after rejections.
-  EXPECT_EQ(validator.state().balance(addr(3)), 0u);
-  EXPECT_EQ(validator.ledger().height(), 0u);
+    // State must be untouched after rejections.
+    EXPECT_EQ(validator->state().balance(addr(3)), 0u);
+    EXPECT_EQ(validator->state().nonce(addr(1)), 0u);
+    EXPECT_EQ(validator->state().digest(), genesis);
+    EXPECT_EQ(validator->ledger().height(), 0u);
 
-  // The untampered block still applies.
-  validator.receive_block(block);
-  EXPECT_EQ(validator.ledger().height(), 1u);
+    // The untampered block still applies.
+    validator->receive_block(block);
+    EXPECT_EQ(validator->ledger().height(), 1u);
+    EXPECT_EQ(validator->state().digest(), node_.state().digest());
+  }
 }
 
 TEST_F(AccountNodeTest, ReceiveBlockRejectsBadLinkage) {
@@ -233,6 +268,61 @@ TEST_F(AccountNodeTest, PluggableParallelExecutorValidates) {
     validator.receive_block(block);
   }
   EXPECT_EQ(validator.state().digest(), node_.state().digest());
+}
+
+TEST(IncrementalStateRoot, MatchesRebuildOnEveryEngineAcrossRejections) {
+  // A producer and a validator over a random stream of transfers (many to
+  // fresh accounts) and crowdsale calls (storage writes). Every header
+  // root must equal a full rebuild, and each honest block follows a
+  // doctored copy the validator must reject without a trace: the trie
+  // re-syncs from the accounts the rollback restored.
+  constexpr std::uint64_t kUsers = 24;
+  const Address sale = addr(900);
+  const Address beneficiary = addr(901);
+  for (const std::string& engine : engine_names()) {
+    SCOPED_TRACE("engine '" + engine + "'");
+    AccountNode producer;
+    const auto validator = make_node(engine);
+    for (AccountNode* node : {&producer, validator.get()}) {
+      for (std::uint64_t u = 1; u <= kUsers; ++u) {
+        node->genesis_fund(addr(u), 10'000'000);
+      }
+      node->genesis_deploy(sale, account::contracts::crowdsale(beneficiary));
+    }
+    Rng rng(11);
+    std::vector<std::uint64_t> nonces(kUsers + 1, 0);
+    for (std::uint64_t height = 0; height < 12; ++height) {
+      for (int i = 0; i < 10; ++i) {
+        const std::uint64_t from = 1 + rng.uniform(kUsers);
+        const Address to =
+            rng.bernoulli(0.3) ? sale : addr(1 + rng.uniform(3 * kUsers));
+        account::AccountTx tx =
+            make_tx(addr(from), to, 1 + rng.uniform(1000), nonces[from]++);
+        tx.gas_limit = 200'000;
+        producer.submit_transaction(std::move(tx));
+      }
+      const auto block = producer.produce_block(height);
+      ASSERT_EQ(block.transactions.size(), 10u);
+      EXPECT_EQ(block.header.state_root,
+                account::build_state_trie(producer.state()).root());
+
+      const Hash256 before = validator->state().digest();
+      auto doctored = block;
+      if (height % 2 == 0) {
+        doctored.header.state_root.bytes[0] ^= 1;
+      } else {
+        doctored.header.gas_used += 1;
+      }
+      EXPECT_THROW(validator->receive_block(doctored), ValidationError);
+      EXPECT_EQ(validator->state().digest(), before);
+
+      validator->receive_block(block);
+      EXPECT_EQ(validator->state().digest(), producer.state().digest());
+      EXPECT_EQ(account::build_state_trie(validator->state()).root(),
+                block.header.state_root);
+    }
+    EXPECT_EQ(validator->ledger().height(), 12u);
+  }
 }
 
 TEST_F(AccountNodeTest, GenesisAfterStartRejected) {

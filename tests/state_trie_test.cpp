@@ -18,6 +18,21 @@ TEST(StateTrie, EmptyRootIsStable) {
   EXPECT_EQ(a.size(), 0u);
 }
 
+// Root bytes pinned from the uncompressed 48-level trie: the compact
+// layout must reproduce them exactly.
+TEST(StateTrie, GoldenRoots) {
+  EXPECT_EQ(StateTrie().root().to_hex(),
+            "7ba3ae4a417fe8545b142bc89f4adcd7ae13941cbab7750b83e9f0a66d16be64");
+  StateDb state;
+  for (std::uint64_t s = 1; s <= 1000; ++s) {
+    state.set_balance(addr(s), 1000 + s);
+    state.set_nonce(addr(s), s % 7);
+  }
+  state.set_storage(addr(3), 5, 50);
+  EXPECT_EQ(build_state_trie(state).root().to_hex(),
+            "dcc69ddcc44a54b8a18a76e647717debad0a18327d2bde931143e964c29d29c1");
+}
+
 TEST(StateTrie, UpdateChangesRootDeterministically) {
   StateTrie a;
   StateTrie b;
@@ -138,6 +153,37 @@ TEST(StateTrie, RandomChurnKeepsRootConsistent) {
   }
   EXPECT_EQ(churned.root(), fresh.root());
   EXPECT_EQ(churned.size(), reference.size());
+  // Proofs over the churned layout, for members and absent keys alike.
+  for (std::uint64_t key = 0; key < 70; ++key) {
+    const StateTrie::Proof proof = churned.prove(addr(key));
+    const auto it = reference.find(key);
+    EXPECT_EQ(proof.leaf, it == reference.end() ? Hash256{} : it->second);
+    EXPECT_TRUE(StateTrie::verify(proof, churned.root())) << key;
+  }
+}
+
+TEST(StateTrie, BatchUpdateMatchesSingleUpdates) {
+  StateTrie batched;
+  StateTrie single;
+  std::vector<StateTrie::Leaf> leaves;
+  for (std::uint64_t s = 0; s < 200; ++s) {
+    leaves.push_back({addr(s), digest(s)});
+    single.update(addr(s), digest(s));
+  }
+  // Erasures ride in the same batch, an absent one included.
+  leaves.push_back({addr(7), Hash256{}});
+  leaves.push_back({addr(999), Hash256{}});
+  single.erase(addr(7));
+  single.erase(addr(999));
+  batched.update(leaves);
+  EXPECT_EQ(batched.root(), single.root());
+  EXPECT_EQ(batched.size(), 199u);
+
+  // Emptying the trie in one batch returns the empty root.
+  for (StateTrie::Leaf& leaf : leaves) leaf.digest = Hash256{};
+  batched.update(leaves);
+  EXPECT_EQ(batched.root(), StateTrie().root());
+  EXPECT_EQ(batched.size(), 0u);
 }
 
 TEST(StateTrie, BuildFromStateDbTracksState) {
