@@ -7,6 +7,8 @@
 #    attribution sum invariant must hold for every engine ("profile OK");
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
+#    common_test + chain_test put the SHA-NI kernel's unaligned loads and
+#    the merkle/ledger paths under UBSan;
 #    txconc_profile then analyzes the traced exec_test run, driving the
 #    trace parser and span-DAG analyzer over sanitizer-instrumented code;
 #  * tsan  — TSan on the same binaries: data races, with the conformance
@@ -107,9 +109,14 @@ if lane_enabled asan; then
     --target exec_test --target conformance_test --target audit_test \
     --target obs_test --target trace_propagation_test --target hotpath_test \
     --target block_stm_test --target critpath_test --target contention_test \
+    --target common_test --target chain_test \
     --target parallel_executor --target txconc_profile
   # Leak checking needs ptrace, which container CI runners often deny; the
   # races/UB we are after are caught without it.
+  # Both SHA-256 kernels (the hardware one where the CPU has it) and the
+  # merkle reduction, under UBSan.
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/common_test
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/chain_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/obs_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/hotpath_test
   # The contention sketch/sink under ASan: lane merges, eviction churn.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/bytes.h"
 #include "common/error.h"
 
 namespace txconc::account {
@@ -172,17 +171,17 @@ Hash256 StateDb::account_digest(const Address& addr) const {
   for (const auto& [key, value] : rec->storage) {
     if (value == 0) continue;
     any_storage = true;
-    ByteWriter sw;
+    HashWriter sw;
     sw.u64(key);
     sw.u64(value);
-    const Hash256 sh = Hash256::digest_of(sw.data());
+    const Hash256 sh = sw.finish();
     for (std::size_t i = 0; i < 32; ++i) storage_acc[i] ^= sh.bytes[i];
   }
   // Accounts in their default state digest like absent accounts.
   if (rec->balance == 0 && rec->nonce == 0 && !rec->code && !any_storage) {
     return Hash256{};
   }
-  ByteWriter w;
+  HashWriter w;
   w.raw(addr.bytes);
   w.u64(rec->balance);
   w.u64(rec->nonce);
@@ -192,7 +191,7 @@ Hash256 StateDb::account_digest(const Address& addr) const {
     w.u32(static_cast<std::uint32_t>(rec->code->address_table.size()));
     for (const Address& a : rec->code->address_table) w.raw(a.bytes);
   }
-  return Hash256::digest_of(w.data());
+  return w.finish();
 }
 
 void StateDb::for_each_account(

@@ -7,7 +7,7 @@ namespace txconc::chain {
 Hash256 tx_hash(const utxo::Transaction& tx) { return tx.txid(); }
 
 Hash256 tx_hash(const account::AccountTx& tx) {
-  ByteWriter w;
+  HashWriter w;
   w.raw(tx.from.bytes);
   w.u8(tx.to.has_value() ? 1 : 0);
   if (tx.to) w.raw(tx.to->bytes);
@@ -22,7 +22,7 @@ Hash256 tx_hash(const account::AccountTx& tx) {
   w.bytes(tx.init_code.code);
   w.u32(static_cast<std::uint32_t>(tx.init_code.address_table.size()));
   for (const Address& a : tx.init_code.address_table) w.raw(a.bytes);
-  return Hash256::digest_of(w.data());
+  return w.finish();
 }
 
 Bytes BlockHeader::serialize() const {

@@ -78,35 +78,77 @@ Block<Tx> make_block(const BlockHeader* prev, std::vector<Tx> transactions,
   return block;
 }
 
-/// An append-only chain of blocks with linkage validation.
+/// An append-only chain of blocks, and the one home of the rules a block
+/// must meet to extend it: consecutive height, prev_hash of the tip,
+/// timestamp not before the tip's, and a merkle root that commits to the
+/// transactions. Nodes run them through check() or next_header() before
+/// executing a block, so a block the ledger would refuse never touches
+/// their state (DESIGN.md §19).
 template <typename Tx>
 class Ledger {
  public:
-  /// Validate linkage and merkle commitment, then append.
-  void append(Block<Tx> block) {
-    if (blocks_.empty()) {
-      if (block.header.height != 0) {
-        throw ValidationError("first block must have height 0");
-      }
-    } else {
-      const BlockHeader& tip_header = blocks_.back().header;
-      if (block.header.height != tip_header.height + 1) {
-        throw ValidationError("non-consecutive block height");
-      }
-      if (block.header.prev_hash != tip_header.hash()) {
-        throw ValidationError("prev_hash does not match tip");
-      }
-      if (block.header.timestamp < tip_header.timestamp) {
-        throw ValidationError("timestamp going backwards");
-      }
+  /// A block whose merkle root is known to commit to its transactions.
+  /// Only a Ledger makes one (check() or seal()), and neither the
+  /// transactions nor the root can change afterwards, so append() takes
+  /// it without recomputing the root.
+  class Checked {
+   public:
+    const Block<Tx>& block() const { return block_; }
+    /// The PoW nonce is outside the ledger's rules; a miner sets it last.
+    void set_nonce(std::uint64_t nonce) { block_.header.nonce = nonce; }
+
+   private:
+    friend class Ledger;
+    explicit Checked(Block<Tx> block) : block_(std::move(block)) {}
+    Block<Tx> block_;
+  };
+
+  /// Header of the block after the tip: height and prev_hash set, for a
+  /// producer to fill in. Throws ValidationError when `timestamp` is
+  /// before the tip's, so the producer learns it before packing.
+  BlockHeader next_header(std::uint64_t timestamp,
+                          std::uint64_t difficulty) const {
+    BlockHeader header;
+    if (!blocks_.empty()) {
+      header.prev_hash = blocks_.back().header.hash();
+      header.height = blocks_.back().header.height + 1;
     }
-    const Hash256 expected =
+    header.timestamp = timestamp;
+    header.difficulty = difficulty;
+    check_linkage(header);
+    return header;
+  }
+
+  /// A block a producer assembled on next_header(): sets its merkle root,
+  /// the one time it is computed.
+  Checked seal(BlockHeader header, std::vector<Tx> transactions) const {
+    Block<Tx> block{std::move(header), std::move(transactions)};
+    block.header.merkle_root =
         transactions_root(std::span<const Tx>(block.transactions));
-    if (block.header.merkle_root != expected) {
+    return Checked(std::move(block));
+  }
+
+  /// Checks a received block against the tip: linkage, timestamp and
+  /// merkle root. Throws ValidationError.
+  Checked check(Block<Tx> block) const {
+    check_linkage(block.header);
+    if (block.header.merkle_root !=
+        transactions_root(std::span<const Tx>(block.transactions))) {
       throw ValidationError("merkle root mismatch");
     }
-    blocks_.push_back(std::move(block));
+    return Checked(std::move(block));
   }
+
+  /// Appends a checked block. The linkage is checked again against the
+  /// current tip (one header hash), which binds the handle to the tip it
+  /// was made for; the merkle root is not recomputed.
+  void append(Checked block) {
+    check_linkage(block.block_.header);
+    blocks_.push_back(std::move(block.block_));
+  }
+
+  /// Checks `block` in full, then appends it.
+  void append(Block<Tx> block) { append(check(std::move(block))); }
 
   std::size_t height() const { return blocks_.size(); }
   bool empty() const { return blocks_.empty(); }
@@ -131,6 +173,25 @@ class Ledger {
   }
 
  private:
+  void check_linkage(const BlockHeader& header) const {
+    if (blocks_.empty()) {
+      if (header.height != 0) {
+        throw ValidationError("first block must have height 0");
+      }
+      return;
+    }
+    const BlockHeader& tip_header = blocks_.back().header;
+    if (header.height != tip_header.height + 1) {
+      throw ValidationError("non-consecutive block height");
+    }
+    if (header.prev_hash != tip_header.hash()) {
+      throw ValidationError("prev_hash does not match tip");
+    }
+    if (header.timestamp < tip_header.timestamp) {
+      throw ValidationError("timestamp going backwards");
+    }
+  }
+
   std::vector<Block<Tx>> blocks_;
 };
 

@@ -1,6 +1,5 @@
 #include "chain/merkle.h"
 
-#include "common/bytes.h"
 #include "common/error.h"
 #include "common/sha256.h"
 
@@ -9,12 +8,10 @@ namespace txconc::chain {
 namespace {
 
 Hash256 hash_pair(const Hash256& left, const Hash256& right) {
-  ByteWriter w(64);
-  w.raw(left.bytes);
-  w.raw(right.bytes);
-  Hash256 out;
-  out.bytes = Sha256::hash_twice(w.data());
-  return out;
+  Sha256 h;
+  h.update(left.bytes);
+  h.update(right.bytes);
+  return Hash256{Sha256::hash(h.finalize())};
 }
 
 std::vector<Hash256> next_level(const std::vector<Hash256>& level) {
@@ -32,9 +29,12 @@ std::vector<Hash256> next_level(const std::vector<Hash256>& level) {
 
 Hash256 merkle_root(std::span<const Hash256> leaves) {
   if (leaves.empty()) return Hash256{};
+  // One copy, reduced in place: level n's pairs overwrite its first half.
   std::vector<Hash256> level(leaves.begin(), leaves.end());
-  while (level.size() > 1) {
-    level = next_level(level);
+  for (std::size_t n = level.size(); n > 1; n = (n + 1) / 2) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      level[i / 2] = hash_pair(level[i], i + 1 < n ? level[i + 1] : level[i]);
+    }
   }
   return level[0];
 }

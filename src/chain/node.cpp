@@ -121,6 +121,9 @@ Block<account::AccountTx> AccountNode::produce_block(
   // pbft rounds, cross-shard 2PC, remote re-execution — links back here.
   const obs::CausalSpan block_span(tracer, obs::names::kSpanProduceBlock,
                                    obs::names::kCatChain);
+  // The ledger's rules first: a timestamp it would refuse must fail
+  // before packing touches the state or drains the mempool.
+  BlockHeader header = ledger_.next_header(timestamp, config_.difficulty);
   // Pull candidates by fee priority, then order runnable ones. A candidate
   // whose nonce is not yet current goes back to the pool.
   std::vector<account::AccountTx> candidates =
@@ -173,29 +176,29 @@ Block<account::AccountTx> AccountNode::produce_block(
     }
   }
 
-  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
-  Block<account::AccountTx> block = make_block<account::AccountTx>(
-      prev, std::move(included), timestamp, config_.difficulty);
   for (const auto& r : receipts) {
-    block.header.gas_used += r.gas_used;
+    header.gas_used += r.gas_used;
   }
   if (config_.commit_state_root) {
     const obs::CausalSpan span(tracer, obs::names::kSpanStateRoot, obs::names::kCatChain,
                                block_span.context());
-    block.header.state_root = state_root();
+    header.state_root = state_root();
   }
+  Ledger<account::AccountTx>::Checked sealed =
+      ledger_.seal(std::move(header), std::move(included));
   if (config_.mine) {
     const obs::CausalSpan span(tracer, obs::names::kSpanPow, obs::names::kCatChain,
                                block_span.context());
-    const auto nonce = mine_header(block.header, config_.mine_budget);
+    const auto nonce = mine_header(sealed.block().header, config_.mine_budget);
     if (!nonce) {
       state_.revert(pre_block);
       throw Error("mining budget exhausted");
     }
-    block.header.nonce = *nonce;
+    sealed.set_nonce(*nonce);
   }
   state_.flush_journal();
-  ledger_.append(block);
+  Block<account::AccountTx> block = sealed.block();
+  ledger_.append(std::move(sealed));
   if (obs::Registry* const registry = node_registry(config_)) {
     registry->counter(obs::names::kMetricNodeBlocksProduced).add(1);
     registry->counter(obs::names::kMetricNodeTxsIncluded).add(block.transactions.size());
@@ -217,21 +220,9 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
   const obs::CausalSpan block_span(
       tracer, obs::names::kSpanReceiveBlock, obs::names::kCatChain, trace,
       static_cast<std::int64_t>(block.header.height));
-  // Structural checks first (linkage + merkle) via a dry append guard.
-  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
-  if (prev) {
-    if (block.header.height != prev->height + 1 ||
-        block.header.prev_hash != prev->hash()) {
-      throw ValidationError("block does not extend the tip");
-    }
-  } else if (block.header.height != 0) {
-    throw ValidationError("first block must have height 0");
-  }
-  const Hash256 expected_root = transactions_root(
-      std::span<const account::AccountTx>(block.transactions));
-  if (block.header.merkle_root != expected_root) {
-    throw ValidationError("merkle root mismatch");
-  }
+  // The ledger's rules (linkage, timestamp, merkle root) before anything
+  // executes; the handle lets the commit append without a second root.
+  Ledger<account::AccountTx>::Checked checked = ledger_.check(block);
   // PoW is mandatory whenever this node runs in mining mode — gating on
   // the nonce value would let a forged zero-nonce block skip the check.
   if (config_.mine &&
@@ -278,7 +269,7 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     const obs::CausalSpan span(tracer, obs::names::kSpanCommit, obs::names::kCatChain,
                                block_span.context());
     state_.flush_journal();
-    ledger_.append(block);
+    ledger_.append(std::move(checked));
   }
   if (obs::Registry* const registry = node_registry(config_)) {
     registry->counter(obs::names::kMetricNodeBlocksReceived).add(1);

@@ -77,17 +77,21 @@ class AccountNode {
   /// Assemble, execute and append the next block from the mempool.
   /// Transactions that fail validation at execution time (stale nonce
   /// after reordering, drained balance) are skipped, not included.
-  /// Returns the produced block. When `trace_out` is non-null it receives
+  /// A `timestamp` before the tip's throws ValidationError before the
+  /// state or the mempool change. The block's merkle root is computed
+  /// once. Returns the produced block. When `trace_out` is non-null it receives
   /// a forked causal context of the block's root span — relay it alongside
   /// the block (receive_block, pbft, cross-shard) so every downstream span
   /// joins the block's trace.
   Block<account::AccountTx> produce_block(
       std::uint64_t timestamp, obs::TraceContext* trace_out = nullptr);
 
-  /// Validate a block received from a peer: linkage, merkle root, PoW
-  /// (when the header carries a mined nonce), then re-execute and check
-  /// the header's gas_used and state_root commitments. On success the
-  /// block is appended and the state advanced; on failure the state is
+  /// Validate a block received from a peer. The ledger's rules come
+  /// first (Ledger::check: height, prev_hash, timestamp, merkle root),
+  /// then PoW in mining mode; nothing executes before they pass. Then
+  /// re-execute and check the header's gas_used and state_root
+  /// commitments. On success the block is appended, without a second
+  /// merkle root, and the state advanced; on failure the state is
   /// untouched, whichever executor ran the block, and ValidationError is
   /// thrown. `trace` is the message-envelope causal
   /// context relayed with the block (zero = start a fresh trace).

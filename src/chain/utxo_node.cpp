@@ -24,6 +24,9 @@ void UtxoNode::submit_transaction(const utxo::Transaction& tx) {
 
 Block<utxo::Transaction> UtxoNode::produce_block(
     std::uint64_t timestamp, const utxo::Script& coinbase_lock) {
+  // The ledger's rules first: a timestamp it would refuse must fail
+  // before the UTXO set or the mempool change.
+  BlockHeader header = ledger_.next_header(timestamp, config_.difficulty);
   std::vector<utxo::Transaction> candidates =
       mempool_.take(config_.max_block_txs);
 
@@ -45,45 +48,33 @@ Block<utxo::Transaction> UtxoNode::produce_block(
     }
   }
 
-  const std::uint64_t height = ledger_.height();
   utxo::Transaction coinbase = utxo::Transaction::coinbase(
-      config_.coinbase_subsidy + fees, coinbase_lock, height);
+      config_.coinbase_subsidy + fees, coinbase_lock, header.height);
   undos.insert(undos.begin(),
                utxo_set_.apply(coinbase, {.run_scripts = false,
                                           .allow_minting = true}));
   included.insert(included.begin(), std::move(coinbase));
 
-  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
-  Block<utxo::Transaction> block = make_block<utxo::Transaction>(
-      prev, std::move(included), timestamp, config_.difficulty);
+  Ledger<utxo::Transaction>::Checked sealed =
+      ledger_.seal(std::move(header), std::move(included));
   if (config_.mine) {
-    const auto nonce = mine_header(block.header, config_.mine_budget);
+    const auto nonce = mine_header(sealed.block().header, config_.mine_budget);
     if (!nonce) {
       utxo_set_.undo_block(undos);
       throw Error("mining budget exhausted");
     }
-    block.header.nonce = *nonce;
+    sealed.set_nonce(*nonce);
   }
-  ledger_.append(block);
+  Block<utxo::Transaction> block = sealed.block();
+  ledger_.append(std::move(sealed));
   undo_stack_.push_back(std::move(undos));
   return block;
 }
 
 void UtxoNode::receive_block(const Block<utxo::Transaction>& block) {
-  const BlockHeader* prev = ledger_.empty() ? nullptr : &ledger_.tip().header;
-  if (prev) {
-    if (block.header.height != prev->height + 1 ||
-        block.header.prev_hash != prev->hash()) {
-      throw ValidationError("block does not extend the tip");
-    }
-  } else if (block.header.height != 0) {
-    throw ValidationError("first block must have height 0");
-  }
-  if (block.header.merkle_root !=
-      transactions_root(std::span<const utxo::Transaction>(
-          block.transactions))) {
-    throw ValidationError("merkle root mismatch");
-  }
+  // The ledger's rules (linkage, timestamp, merkle root) before the UTXO
+  // set changes; the handle lets the append skip a second root.
+  Ledger<utxo::Transaction>::Checked checked = ledger_.check(block);
   // PoW is mandatory whenever this node runs in mining mode — gating on
   // the nonce value would let a forged zero-nonce block skip the check.
   if (config_.mine &&
@@ -122,7 +113,7 @@ void UtxoNode::receive_block(const Block<utxo::Transaction>& block) {
     utxo_set_.undo_block(undos);
     throw;
   }
-  ledger_.append(block);
+  ledger_.append(std::move(checked));
   undo_stack_.push_back(std::move(undos));
 }
 

@@ -32,13 +32,16 @@ class UtxoNode {
 
   /// Assemble the next block: a coinbase paying `coinbase_lock` plus the
   /// best-paying admissible mempool transactions. Transactions invalidated
-  /// since admission (double-spent inputs) are dropped.
+  /// since admission (double-spent inputs) are dropped. A `timestamp`
+  /// before the tip's throws ValidationError before anything changes.
   Block<utxo::Transaction> produce_block(std::uint64_t timestamp,
                                          const utxo::Script& coinbase_lock);
 
-  /// Validate and apply a block from a peer: linkage, merkle root, PoW
-  /// (when mined), exactly one leading coinbase with the configured
-  /// subsidy (plus fees), then all-or-nothing UTXO application.
+  /// Validate and apply a block from a peer: the ledger's rules
+  /// (Ledger::check: height, prev_hash, timestamp, merkle root) and PoW
+  /// (when mined) before the UTXO set changes, exactly one leading
+  /// coinbase with the configured subsidy (plus fees), then
+  /// all-or-nothing UTXO application.
   void receive_block(const Block<utxo::Transaction>& block);
 
   /// Undo the tip block (reorg support); returns the undone block.

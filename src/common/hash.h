@@ -9,6 +9,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/sha256.h"
+
 namespace txconc {
 
 /// A 32-byte hash value (transaction id, block hash, merkle root).
@@ -57,6 +59,38 @@ struct Address {
 
   /// First 8 bytes as a little-endian integer (shard assignment uses this).
   std::uint64_t low64() const;
+};
+
+/// SHA-256 of fields encoded exactly as ByteWriter encodes them
+/// (little-endian integers, u32 length prefixes), streamed into the
+/// hasher instead of a heap buffer. For hashes taken in bulk.
+class HashWriter {
+ public:
+  void u8(std::uint8_t v) { sha_.update({&v, 1}); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
+  /// Length-prefixed (u32) raw bytes.
+  void bytes(std::span<const std::uint8_t> data) {
+    u32(static_cast<std::uint32_t>(data.size()));
+    raw(data);
+  }
+  /// Raw bytes, no length prefix.
+  void raw(std::span<const std::uint8_t> data) { sha_.update(data); }
+
+  /// The digest; the writer is exhausted afterwards.
+  Hash256 finish() { return Hash256{sha_.finalize()}; }
+
+ private:
+  template <typename T>
+  void le(T v) {
+    std::array<std::uint8_t, sizeof(T)> out;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    sha_.update(out);
+  }
+
+  Sha256 sha_;
 };
 
 }  // namespace txconc

@@ -2,9 +2,14 @@
 //
 // Used for transaction ids, block hashes and merkle trees so that the
 // simulated chains have realistic, collision-resistant identifiers.
+//
+// Two compression kernels compute identical digests: a portable one, and
+// on x86-64 CPUs with the SHA extensions a SHA-NI one. The hasher picks
+// the fastest the CPU supports, once, at first use (DESIGN.md §19).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -22,7 +27,16 @@ class Sha256 {
  public:
   using Digest = std::array<std::uint8_t, 32>;
 
+  /// A compression kernel: absorbs `blocks` consecutive 64-byte blocks
+  /// starting at `data` (no alignment required) into the eight state
+  /// words.
+  using Kernel = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                          std::size_t blocks);
+
+  /// Hashes with the fastest kernel this CPU supports.
   Sha256();
+  /// Hashes with `kernel`, so tests can run each kernel on the same input.
+  explicit Sha256(Kernel kernel);
 
   /// Absorb more input.
   void update(std::span<const std::uint8_t> data);
@@ -36,9 +50,17 @@ class Sha256 {
   /// Double SHA-256 (Bitcoin-style txid construction).
   static Digest hash_twice(std::span<const std::uint8_t> data);
 
- private:
-  void process_block(const std::uint8_t* block);
+  /// The portable kernel: the reference the tests compare against, and
+  /// the only kernel on CPUs without the SHA extensions.
+  static void portable_kernel(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks);
 
+  /// The SHA-NI kernel, or nullptr when the CPU lacks the SHA, SSE4.1 or
+  /// SSSE3 extensions (always nullptr off x86-64).
+  static Kernel hardware_kernel();
+
+ private:
+  Kernel kernel_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t bit_length_ = 0;

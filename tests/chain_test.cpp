@@ -120,6 +120,36 @@ TEST(Block, AccountTxHashDistinguishesFields) {
   EXPECT_NE(tx_hash(other), h);
 }
 
+// Roots computed with the scalar SHA-256 and the per-level merkle
+// reduction; every later kernel and reduction must reproduce them.
+TEST(Block, GoldenTransactionRoots) {
+  const auto txs = [](std::uint64_t n) {
+    std::vector<account::AccountTx> out(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      account::AccountTx& tx = out[i];
+      tx.from = Address::from_seed(i);
+      tx.to = Address::from_seed(i + 1000);
+      tx.value = i;
+      tx.nonce = i % 5;
+      tx.gas_limit = 21000 + i;
+      tx.gas_price = 1 + i % 3;
+      if (i % 2 == 1) tx.args = {i, i * i};
+      if (i % 3 == 0) tx.address_args = {Address::from_seed(i + 7)};
+    }
+    return out;
+  };
+  const auto root = [](const std::vector<account::AccountTx>& block) {
+    return transactions_root(std::span<const account::AccountTx>(block))
+        .to_hex();
+  };
+  EXPECT_EQ(root(txs(1)),
+            "cdae6f1af84bd70b068b81a5e2ddf9df7d3fb26d4a0b092c482ec72a41675228");
+  EXPECT_EQ(root(txs(7)),
+            "e8b3ce6dd3220283e32af20ee04ca6e53583c37c583b9e9617a83fbbdd1b062e");
+  EXPECT_EQ(root(txs(1000)),
+            "c7b5eb06cf43b3e0d2f54fd6e88a61532747fae8a6fc7103d4f6aae2e7f976e7");
+}
+
 TEST(Block, MakeBlockLinksAndCommits) {
   std::vector<account::AccountTx> txs(3);
   for (std::size_t i = 0; i < txs.size(); ++i) {
@@ -163,6 +193,28 @@ TEST(Ledger, AppendValidatesLinkage) {
   // Backwards timestamp.
   auto b3 = make_block<account::AccountTx>(&b1.header, txs, 2, 1);
   EXPECT_THROW(ledger.append(b3), ValidationError);
+}
+
+TEST(Ledger, CheckedBlocksAreBoundToTheTip) {
+  std::vector<account::AccountTx> txs(1);
+  txs[0].from = Address::from_seed(1);
+  txs[0].to = Address::from_seed(2);
+
+  Ledger<account::AccountTx> ledger;
+  auto genesis = ledger.seal(ledger.next_header(10, 1), txs);
+  EXPECT_EQ(genesis.block().header.merkle_root,
+            transactions_root(std::span<const account::AccountTx>(txs)));
+  // Both checked against the empty chain; only one can extend it.
+  auto rival = ledger.check(make_block<account::AccountTx>(nullptr, txs, 11, 1));
+  ledger.append(std::move(genesis));
+  EXPECT_THROW(ledger.append(std::move(rival)), ValidationError);
+  EXPECT_EQ(ledger.height(), 1u);
+
+  // A producer learns of a backward timestamp before it packs a block.
+  EXPECT_THROW(ledger.next_header(9, 1), ValidationError);
+  const BlockHeader next = ledger.next_header(10, 1);
+  EXPECT_EQ(next.height, 1u);
+  EXPECT_EQ(next.prev_hash, ledger.tip().header.hash());
 }
 
 TEST(Ledger, FirstBlockMustBeGenesis) {

@@ -138,6 +138,107 @@ TEST(Sha256, PaddingBoundaries) {
   }
 }
 
+// ------------------------------------------------ SHA-256 compression kernels
+
+// Each kernel, called explicitly; the hardware one is null on a CPU
+// without the SHA extensions.
+struct NamedKernel {
+  std::string name;
+  Sha256::Kernel kernel;
+};
+
+class Sha256Kernel : public ::testing::TestWithParam<NamedKernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam().kernel == nullptr) {
+      GTEST_SKIP() << "this CPU lacks the SHA, SSE4.1 or SSSE3 extension";
+    }
+  }
+
+  Sha256::Digest hash(std::span<const std::uint8_t> data) const {
+    Sha256 h(GetParam().kernel);
+    h.update(data);
+    return h.finalize();
+  }
+};
+
+Sha256::Digest portable_hash(std::span<const std::uint8_t> data) {
+  Sha256 h(&Sha256::portable_kernel);
+  h.update(data);
+  return h.finalize();
+}
+
+Bytes random_bytes(Rng& rng, std::size_t len) {
+  Bytes data(len);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  return data;
+}
+
+TEST_P(Sha256Kernel, Fips180Vectors) {
+  EXPECT_EQ(to_hex(hash({})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(hash(ascii("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(to_hex(hash(ascii(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(to_hex(hash(Bytes(1'000'000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(to_hex(hash(hash({}))),
+            "5df6e0e2761359d30a8275058e299fcc0381534545f55cf43e41983f5d4c9456");
+}
+
+TEST_P(Sha256Kernel, PaddingBoundaries) {
+  // Lengths around the 55/56/63/64-byte padding edges, fed a byte at a
+  // time (one kernel call per block) and in one piece (one call for all
+  // full blocks).
+  for (std::size_t len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 127u, 128u}) {
+    const Bytes data(len, 0x5a);
+    Sha256 h(GetParam().kernel);
+    for (std::size_t i = 0; i < len; ++i) {
+      h.update(std::span(&data[i], 1));
+    }
+    EXPECT_EQ(h.finalize(), portable_hash(data)) << "len=" << len;
+    EXPECT_EQ(hash(data), portable_hash(data)) << "len=" << len;
+  }
+}
+
+TEST_P(Sha256Kernel, IncrementalSplitsMatchOneShot) {
+  Rng rng(21);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes data = random_bytes(rng, rng.uniform(400));
+    const std::size_t a = rng.uniform(data.size() + 1);
+    const std::size_t b = a + rng.uniform(data.size() - a + 1);
+    Sha256 h(GetParam().kernel);
+    h.update(std::span(data).first(a));
+    h.update({});  // null data, often with a partly filled buffer
+    h.update(std::span(data).subspan(a, b - a));
+    h.update(std::span(data).subspan(b));
+    EXPECT_EQ(h.finalize(), portable_hash(data))
+        << "len=" << data.size() << " splits=" << a << "," << b;
+  }
+}
+
+TEST_P(Sha256Kernel, MatchesPortableOnEveryLengthAndRandomLengths) {
+  Rng rng(17);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes data = random_bytes(rng, len);
+    ASSERT_EQ(hash(data), portable_hash(data)) << "len=" << len;
+  }
+  for (int trial = 0; trial < 500; ++trial) {
+    const Bytes data = random_bytes(rng, rng.uniform(4097));
+    ASSERT_EQ(hash(data), portable_hash(data)) << "len=" << data.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256Kernel,
+    ::testing::Values(NamedKernel{"portable", &Sha256::portable_kernel},
+                      NamedKernel{"hardware", Sha256::hardware_kernel()}),
+    [](const ::testing::TestParamInfo<NamedKernel>& kernel_info) {
+      return kernel_info.param.name;
+    });
+
 // --------------------------------------------------------------- identifiers
 
 TEST(Hash256, HexRoundTrip) {

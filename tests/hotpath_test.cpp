@@ -17,6 +17,7 @@
 #include "account/runtime.h"
 #include "account/state.h"
 #include "account/types.h"
+#include "chain/block.h"
 #include "common/flat_table.h"
 #include "exec/block_stm.h"
 #include "exec/executor.h"
@@ -421,6 +422,28 @@ TEST(EngineAllocations, BlockStmSteadyStateStaysWithinBudget) {
   EXPECT_LE(spent, 16 * kTxs + 1024)
       << "steady-state block-stm block burned " << spent
       << " allocations for " << kTxs << " transactions";
+}
+
+// A block's transaction root hashes every transaction and every pair in
+// the tree, 1000 + 999 hashes for 1000 transactions, yet allocates only
+// its leaf vector and the one level vector it reduces in place.
+TEST(MerkleHotPath, TransactionsRootAllocatesOncePerBlock) {
+  std::vector<account::AccountTx> block(1000);
+  for (std::uint64_t i = 0; i < block.size(); ++i) {
+    block[i].from = addr(i);
+    block[i].to = addr(i + 1000);
+    block[i].nonce = i;
+    block[i].args = {i, i * i};
+    block[i].address_args = {addr(i + 7)};
+  }
+  const std::span<const account::AccountTx> txs(block);
+  const Hash256 warm = chain::transactions_root(txs);
+  const std::uint64_t before = allocations();
+  const Hash256 root = chain::transactions_root(txs);
+  const std::uint64_t spent = allocations() - before;
+  EXPECT_EQ(root, warm);
+  EXPECT_LE(spent, 4u) << "transactions_root over 1000 transactions made "
+                       << spent << " allocations";
 }
 
 }  // namespace

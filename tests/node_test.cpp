@@ -211,6 +211,50 @@ TEST_F(AccountNodeTest, ReceiveBlockRejectsBadLinkage) {
   EXPECT_EQ(validator.ledger().height(), 2u);
 }
 
+TEST_F(AccountNodeTest, BackwardTimestampRejectedBeforeExecution) {
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1, 0));
+  const auto b0 = node_.produce_block(10);
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1, 1));
+  const auto b1 = node_.produce_block(20);
+
+  for (const std::string& engine : engine_names()) {
+    SCOPED_TRACE("engine '" + engine + "'");
+    const auto validator = make_node(engine);
+    validator->genesis_fund(addr(1), 10'000'000);
+    validator->genesis_fund(addr(2), 10'000'000);
+    validator->receive_block(b0);
+    const Hash256 after_b0 = validator->state().digest();
+
+    // Re-stamped earlier than its parent: refused before it executes.
+    auto restamped = b1;
+    restamped.header.timestamp = 5;
+    EXPECT_THROW(validator->receive_block(restamped), ValidationError);
+    EXPECT_EQ(validator->state().digest(), after_b0);
+    EXPECT_EQ(validator->state().nonce(addr(1)), 1u);
+    EXPECT_EQ(validator->ledger().height(), 1u);
+
+    validator->receive_block(b1);
+    EXPECT_EQ(validator->ledger().height(), 2u);
+    EXPECT_EQ(validator->state().digest(), node_.state().digest());
+  }
+}
+
+TEST_F(AccountNodeTest, BackwardTimestampRejectedBeforePacking) {
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1, 0));
+  node_.produce_block(10);
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1, 1));
+  const Hash256 before = node_.state().digest();
+
+  EXPECT_THROW(node_.produce_block(5), ValidationError);
+  EXPECT_EQ(node_.state().digest(), before);
+  EXPECT_EQ(node_.mempool_size(), 1u);
+  EXPECT_EQ(node_.ledger().height(), 1u);
+
+  const auto block = node_.produce_block(10);
+  EXPECT_EQ(block.transactions.size(), 1u);
+  EXPECT_EQ(node_.ledger().height(), 2u);
+}
+
 TEST_F(AccountNodeTest, MinedBlocksCarryValidPow) {
   AccountNodeConfig config;
   config.mine = true;

@@ -226,6 +226,36 @@ TEST_F(UtxoNodeTest, UndoTipRestoresUtxoSet) {
   EXPECT_FALSE(node_.utxo_set().contains({payment.txid(), 0}));
 }
 
+TEST_F(UtxoNodeTest, BackwardTimestampRejectedBeforeApplying) {
+  mine_funding_block();  // timestamp 10
+  const Transaction payment = miner_wallet_.pay(
+      user_wallet_.next_receive_script(), 1'0000'0000ULL, 500ULL);
+  node_.submit_transaction(payment);
+  const std::uint64_t funded = node_.utxo_set().size();
+
+  // A producer refuses the timestamp before spending the mempool.
+  EXPECT_THROW(node_.produce_block(5, miner_wallet_.next_receive_script()),
+               ValidationError);
+  EXPECT_EQ(node_.mempool_size(), 1u);
+  EXPECT_EQ(node_.utxo_set().size(), funded);
+  EXPECT_EQ(node_.ledger().height(), 1u);
+  const auto b1 = node_.produce_block(20, miner_wallet_.next_receive_script());
+  ASSERT_EQ(b1.transactions.size(), 2u);
+
+  // A validator refuses a re-stamped copy before applying it.
+  UtxoNode validator;
+  validator.receive_block(node_.ledger().at(0));
+  auto restamped = b1;
+  restamped.header.timestamp = 5;
+  EXPECT_THROW(validator.receive_block(restamped), ValidationError);
+  EXPECT_EQ(validator.utxo_set().size(), funded);
+  EXPECT_EQ(validator.ledger().height(), 1u);
+  validator.receive_block(b1);
+  EXPECT_EQ(validator.utxo_set().total_value(),
+            node_.utxo_set().total_value());
+  EXPECT_EQ(validator.ledger().height(), 2u);
+}
+
 TEST_F(UtxoNodeTest, MinedBlocksVerify) {
   UtxoNodeConfig config;
   config.mine = true;
