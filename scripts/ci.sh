@@ -110,6 +110,7 @@ if lane_enabled asan; then
     --target obs_test --target trace_propagation_test --target hotpath_test \
     --target block_stm_test --target critpath_test --target contention_test \
     --target common_test --target chain_test \
+    --target node_test --target wallet_node_test \
     --target parallel_executor --target txconc_profile
   # Leak checking needs ptrace, which container CI runners often deny; the
   # races/UB we are after are caught without it.
@@ -117,6 +118,10 @@ if lane_enabled asan; then
   # merkle reduction, under UBSan.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/common_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/chain_test
+  # The producers' pack loops: moved-from candidates, compacted deferrals,
+  # the reused receipt slot, and the mining-failure requeue.
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/node_test
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/wallet_node_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/obs_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/hotpath_test
   # The contention sketch/sink under ASan: lane merges, eviction churn.

@@ -202,26 +202,35 @@ class Mempool {
  public:
   /// @param fee  the fee (or gas price) used for ordering.
   void add(Tx tx, std::uint64_t fee) {
-    entries_.push_back({std::move(tx), fee, next_seq_++});
+    entries_.push_back({std::move(tx), fee, next_seq_++, false});
   }
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Remove and return up to `max_count` best-paying transactions.
+  /// Remove and return up to `max_count` best-paying transactions, in
+  /// that order. Sorts small index keys, not the entries; the rest keep
+  /// their order for the next take.
   std::vector<Tx> take(std::size_t max_count) {
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [](const Entry& a, const Entry& b) {
-                       if (a.fee != b.fee) return a.fee > b.fee;
-                       return a.seq < b.seq;
-                     });
+    std::vector<Key> keys;
+    keys.reserve(entries_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      keys.push_back({entries_[i].fee, entries_[i].seq, i});
+    }
+    // (fee, seq) is unique, so an unstable sort gives one order.
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+      if (a.fee != b.fee) return a.fee > b.fee;
+      return a.seq < b.seq;
+    });
     const std::size_t n = std::min(max_count, entries_.size());
     std::vector<Tx> out;
     out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(entries_[i].tx));
+    for (std::size_t k = 0; k < n; ++k) {
+      Entry& entry = entries_[keys[k].index];
+      out.push_back(std::move(entry.tx));
+      entry.taken = true;
     }
-    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(n));
+    std::erase_if(entries_, [](const Entry& e) { return e.taken; });
     return out;
   }
 
@@ -230,6 +239,12 @@ class Mempool {
     Tx tx;
     std::uint64_t fee;
     std::uint64_t seq;
+    bool taken;  ///< moved out by the current take()
+  };
+  struct Key {
+    std::uint64_t fee;
+    std::uint64_t seq;
+    std::size_t index;  ///< into entries_
   };
   std::vector<Entry> entries_;
   std::uint64_t next_seq_ = 0;

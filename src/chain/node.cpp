@@ -129,10 +129,19 @@ Block<account::AccountTx> AccountNode::produce_block(
   std::vector<account::AccountTx> candidates =
       mempool_.take(config_.max_block_txs * 2);
 
+  // The producer keeps no receipts, only their gas, so it packs into one
+  // reused receipt slot without access tracking (an installed recorder
+  // still forces tracking on; DESIGN.md §20).
+  account::RuntimeConfig runtime = config_.runtime;
+  runtime.track_accesses = false;
+  account::Receipt receipt;
+  account::AccessTracker tracker;
   std::vector<account::AccountTx> included;
   std::uint64_t gas_budget = config_.block_gas_limit;
+  std::uint64_t passes = 0;
+  std::uint64_t deferrals = 0;
+  std::uint64_t drops = 0;
   const account::Snapshot pre_block = state_.snapshot();
-  std::vector<account::Receipt> receipts;
 
   {
     const obs::CausalSpan span(tracer, obs::names::kSpanPack, obs::names::kCatChain,
@@ -140,34 +149,40 @@ Block<account::AccountTx> AccountNode::produce_block(
                                static_cast<std::int64_t>(candidates.size()));
     // Multi-pass packing: a transaction with a future nonce becomes
     // runnable once its same-sender predecessor lands, so retry deferrals
-    // while any pass makes progress.
+    // while any pass makes progress. The precheck classifies a candidate
+    // without throwing; deferrals compact to the front of `candidates`,
+    // in order, for the next pass.
     bool progress = true;
     while (progress && !candidates.empty()) {
       progress = false;
-      std::vector<account::AccountTx> deferred;
-      for (auto& tx : candidates) {
+      ++passes;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        account::AccountTx& tx = candidates[i];
         if (included.size() >= config_.max_block_txs ||
             tx.gas_limit > gas_budget) {
           // Does not fit this block; back to the pool for the next one.
           const std::uint64_t priority = tx.gas_price;
           mempool_.add(std::move(tx), priority);
-          continue;
-        }
-        try {
-          receipts.push_back(
-              account::apply_transaction(state_, tx, config_.runtime));
-          gas_budget -= receipts.back().gas_used;
+        } else if (account::precheck_transaction(state_, tx, runtime) ==
+                   nullptr) {
+          account::apply_transaction_into(state_, tx, runtime, receipt,
+                                          tracker);
+          gas_budget -= receipt.gas_used;
+          header.gas_used += receipt.gas_used;
           included.push_back(std::move(tx));
           progress = true;
-        } catch (const ValidationError&) {
-          if (config_.runtime.enforce_nonce &&
-              tx.nonce > state_.nonce(tx.from)) {
-            deferred.push_back(std::move(tx));  // predecessor may still land
-          }
-          // Otherwise: drop (stale nonce or drained balance).
+        } else if (runtime.enforce_nonce && tx.nonce > state_.nonce(tx.from)) {
+          // The predecessor may still land.
+          if (kept != i) candidates[kept] = std::move(tx);
+          ++kept;
+          ++deferrals;
+        } else {
+          ++drops;  // stale nonce or drained balance
         }
       }
-      candidates = std::move(deferred);
+      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(kept),
+                       candidates.end());
     }
     // Unresolved future nonces return to the pool.
     for (auto& tx : candidates) {
@@ -176,9 +191,6 @@ Block<account::AccountTx> AccountNode::produce_block(
     }
   }
 
-  for (const auto& r : receipts) {
-    header.gas_used += r.gas_used;
-  }
   if (config_.commit_state_root) {
     const obs::CausalSpan span(tracer, obs::names::kSpanStateRoot, obs::names::kCatChain,
                                block_span.context());
@@ -191,7 +203,12 @@ Block<account::AccountTx> AccountNode::produce_block(
                                block_span.context());
     const auto nonce = mine_header(sealed.block().header, config_.mine_budget);
     if (!nonce) {
+      // Nothing of the block stays: the state rolls back and its
+      // transactions return to the pool for the next attempt.
       state_.revert(pre_block);
+      for (const account::AccountTx& tx : sealed.block().transactions) {
+        mempool_.add(tx, tx.gas_price);
+      }
       throw Error("mining budget exhausted");
     }
     sealed.set_nonce(*nonce);
@@ -203,6 +220,10 @@ Block<account::AccountTx> AccountNode::produce_block(
     registry->counter(obs::names::kMetricNodeBlocksProduced).add(1);
     registry->counter(obs::names::kMetricNodeTxsIncluded).add(block.transactions.size());
     registry->histogram(obs::names::kMetricNodeProduceUs).observe(elapsed_us(start));
+    registry->counter(obs::names::kMetricNodePackDeferred).add(deferrals);
+    registry->counter(obs::names::kMetricNodePackDropped).add(drops);
+    registry->histogram(obs::names::kMetricNodePackPasses)
+        .observe(static_cast<double>(passes));
   }
   if (config_.snapshots != nullptr) config_.snapshots->tick();
   // Fork the context inside the producing span so the flow arrow starts

@@ -78,11 +78,12 @@ class AccountNode {
   /// Transactions that fail validation at execution time (stale nonce
   /// after reordering, drained balance) are skipped, not included.
   /// A `timestamp` before the tip's throws ValidationError before the
-  /// state or the mempool change. The block's merkle root is computed
-  /// once. Returns the produced block. When `trace_out` is non-null it receives
-  /// a forked causal context of the block's root span — relay it alongside
-  /// the block (receive_block, pbft, cross-shard) so every downstream span
-  /// joins the block's trace.
+  /// state or the mempool change. When mining exhausts its budget, throws
+  /// Error with the state and the mempool as they were. The block's merkle
+  /// root is computed once. Returns the produced block. When `trace_out`
+  /// is non-null it receives a forked causal context of the block's root
+  /// span — relay it alongside the block (receive_block, pbft,
+  /// cross-shard) so every downstream span joins the block's trace.
   Block<account::AccountTx> produce_block(
       std::uint64_t timestamp, obs::TraceContext* trace_out = nullptr);
 

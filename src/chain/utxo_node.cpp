@@ -60,7 +60,14 @@ Block<utxo::Transaction> UtxoNode::produce_block(
   if (config_.mine) {
     const auto nonce = mine_header(sealed.block().header, config_.mine_budget);
     if (!nonce) {
+      // Nothing of the block stays: the UTXO set rolls back and its
+      // transactions, all but this attempt's coinbase, return to the pool
+      // (their inputs are unspent again, so their fees price as before).
       utxo_set_.undo_block(undos);
+      const std::vector<utxo::Transaction>& txs = sealed.block().transactions;
+      for (std::size_t i = 1; i < txs.size(); ++i) {
+        mempool_.add(txs[i], fee_of(txs[i]));
+      }
       throw Error("mining budget exhausted");
     }
     sealed.set_nonce(*nonce);

@@ -34,6 +34,8 @@ class UtxoNode {
   /// best-paying admissible mempool transactions. Transactions invalidated
   /// since admission (double-spent inputs) are dropped. A `timestamp`
   /// before the tip's throws ValidationError before anything changes.
+  /// When mining exhausts its budget, throws Error with the UTXO set and
+  /// the mempool as they were.
   Block<utxo::Transaction> produce_block(std::uint64_t timestamp,
                                          const utxo::Script& coinbase_lock);
 

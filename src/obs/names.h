@@ -121,6 +121,12 @@ inline constexpr const char* kMetricNodeBlocksProduced =
     "node.blocks_produced";
 inline constexpr const char* kMetricNodeTxsIncluded = "node.txs_included";
 inline constexpr const char* kMetricNodeProduceUs = "node.produce_us";
+// The producer's retry work (DESIGN.md §20): candidates set aside for a
+// later pass (future nonce), candidates dropped (stale nonce, drained
+// balance), and passes over the candidate list per block.
+inline constexpr const char* kMetricNodePackDeferred = "node.pack_deferred";
+inline constexpr const char* kMetricNodePackDropped = "node.pack_dropped";
+inline constexpr const char* kMetricNodePackPasses = "node.pack_passes";
 inline constexpr const char* kMetricNodeBlocksReceived =
     "node.blocks_received";
 inline constexpr const char* kMetricNodeTxsExecuted = "node.txs_executed";

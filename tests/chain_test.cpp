@@ -348,5 +348,42 @@ TEST(Mempool, TakeMoreThanAvailable) {
   EXPECT_TRUE(pool.empty());
 }
 
+TEST(Mempool, PartialTakeKeepsOrderOfRemainder) {
+  // Many ties: values 0..99 at fee 7 with fee-9 and fee-1 entries mixed
+  // in. A partial take leaves a tie run cut in the middle; the next take
+  // continues it in FIFO order, with later additions behind their ties.
+  Mempool<int> pool;
+  std::vector<int> high;
+  std::vector<int> ties;
+  std::vector<int> low;
+  for (int i = 0; i < 100; ++i) {
+    if (i % 10 == 3) {
+      pool.add(1000 + i, 9);
+      high.push_back(1000 + i);
+    } else if (i % 10 == 6) {
+      pool.add(2000 + i, 1);
+      low.push_back(2000 + i);
+    }
+    pool.add(i, 7);
+    ties.push_back(i);
+  }
+  const std::vector<int> first = pool.take(40);
+  ASSERT_EQ(first.size(), 40u);
+  std::vector<int> expected(high);
+  expected.insert(expected.end(), ties.begin(), ties.begin() + 30);
+  EXPECT_EQ(first, expected);
+  EXPECT_EQ(pool.size(), 70u + low.size());
+
+  pool.add(500, 7);  // joins the tie run behind the survivors
+  pool.add(600, 8);  // outbids it
+  const std::vector<int> second = pool.take(1000);
+  expected = {600};
+  expected.insert(expected.end(), ties.begin() + 30, ties.end());
+  expected.push_back(500);
+  expected.insert(expected.end(), low.begin(), low.end());
+  EXPECT_EQ(second, expected);
+  EXPECT_TRUE(pool.empty());
+}
+
 }  // namespace
 }  // namespace txconc::chain

@@ -18,6 +18,7 @@
 #include "account/state.h"
 #include "account/types.h"
 #include "chain/block.h"
+#include "chain/node.h"
 #include "common/flat_table.h"
 #include "exec/block_stm.h"
 #include "exec/executor.h"
@@ -444,6 +445,51 @@ TEST(MerkleHotPath, TransactionsRootAllocatesOncePerBlock) {
   EXPECT_EQ(root, warm);
   EXPECT_LE(spent, 4u) << "transactions_root over 1000 transactions made "
                        << spent << " allocations";
+}
+
+// ------------------------------------------------------ block production
+
+// Heap allocations of one produce_block over `pairs` senders, each
+// submitting nonce 1 at fee 2 before nonce 0 at fee 1: fee order defers
+// every nonce 1 to the second pass. Senders and receivers exist before
+// the block, so the state itself never grows.
+std::uint64_t produce_allocations(std::uint64_t pairs) {
+  chain::AccountNodeConfig config;
+  config.max_block_txs = 2 * pairs;
+  config.block_gas_limit = 30'000 * 2 * pairs;
+  chain::AccountNode node(config);
+  for (std::uint64_t s = 1; s <= pairs; ++s) {
+    node.genesis_fund(addr(s), 1'000'000'000);
+    node.genesis_fund(addr(100'000 + s), 1);
+  }
+  for (std::uint64_t s = 1; s <= pairs; ++s) {
+    for (std::uint64_t nonce : {1u, 0u}) {
+      account::AccountTx tx;
+      tx.from = addr(s);
+      tx.to = addr(100'000 + s);
+      tx.value = 5;
+      tx.nonce = nonce;
+      tx.gas_limit = 30'000;
+      tx.gas_price = 1 + nonce;
+      node.submit_transaction(std::move(tx));
+    }
+  }
+  const std::uint64_t before = allocations();
+  const chain::Block<account::AccountTx> block = node.produce_block(1);
+  const std::uint64_t spent = allocations() - before;
+  EXPECT_EQ(block.transactions.size(), 2 * pairs);
+  EXPECT_EQ(node.mempool_size(), 0u);
+  return spent;
+}
+
+// Packing costs allocations per block, not per transaction: no receipt,
+// access tracker or exception per candidate. Ten times the transactions
+// may add only container growth (a doubling per vector per 2x).
+TEST(ProduceBlockAllocations, PerBlockNotPerTransaction) {
+  const std::uint64_t small = produce_allocations(50);    // 100 txs
+  const std::uint64_t large = produce_allocations(500);   // 1,000 txs
+  EXPECT_LE(large, small + 64)
+      << "100 txs: " << small << " allocations, 1000 txs: " << large;
 }
 
 }  // namespace

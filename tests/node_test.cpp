@@ -8,6 +8,11 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
+#include "obs/scope.h"
+#include "workload/account_workload.h"
+#include "workload/profiles.h"
 
 namespace txconc::chain {
 namespace {
@@ -374,6 +379,178 @@ TEST_F(AccountNodeTest, GenesisAfterStartRejected) {
   node_.produce_block(1);
   EXPECT_THROW(node_.genesis_fund(addr(5), 1), UsageError);
   EXPECT_THROW(node_.genesis_deploy(addr(5), {}), UsageError);
+}
+
+// ------------------------------------------------------------------ packing
+
+TEST_F(AccountNodeTest, PackingRunsHigherFeeFutureNonceAfterPredecessor) {
+  // Fee order puts nonce 1 first; it waits one pass for nonce 0.
+  node_.submit_transaction(make_tx(addr(1), addr(3), 7, 1, /*gas_price=*/50));
+  node_.submit_transaction(make_tx(addr(1), addr(3), 5, 0, /*gas_price=*/1));
+  const auto block = node_.produce_block(1);
+  ASSERT_EQ(block.transactions.size(), 2u);
+  EXPECT_EQ(block.transactions[0].nonce, 0u);
+  EXPECT_EQ(block.transactions[1].nonce, 1u);
+  EXPECT_EQ(node_.state().nonce(addr(1)), 2u);
+  EXPECT_EQ(node_.state().balance(addr(3)), 12u);
+  EXPECT_EQ(node_.mempool_size(), 0u);
+}
+
+TEST_F(AccountNodeTest, PackingDropsStaleAndRequeuesFuture) {
+  // Two spends of addr(1)'s nonce 0: the better-paying one lands and
+  // leaves the other stale. addr(2)'s nonce 3 has a gap before it.
+  node_.submit_transaction(make_tx(addr(1), addr(3), 10, 0, /*gas_price=*/9));
+  node_.submit_transaction(make_tx(addr(1), addr(4), 20, 0, /*gas_price=*/5));
+  node_.submit_transaction(make_tx(addr(2), addr(3), 30, 3));
+  const auto block = node_.produce_block(1);
+  ASSERT_EQ(block.transactions.size(), 1u);
+  EXPECT_EQ(block.transactions[0].to, addr(3));
+  EXPECT_EQ(node_.state().balance(addr(4)), 0u);
+  EXPECT_EQ(node_.mempool_size(), 1u);  // the gap, not the stale spend
+
+  // The gap stays pooled, block after block, until it closes.
+  EXPECT_TRUE(node_.produce_block(2).transactions.empty());
+  EXPECT_EQ(node_.mempool_size(), 1u);
+  for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
+    node_.submit_transaction(make_tx(addr(2), addr(5), 1, nonce));
+  }
+  EXPECT_EQ(node_.produce_block(3).transactions.size(), 4u);
+  EXPECT_EQ(node_.mempool_size(), 0u);
+}
+
+TEST(PackCounters, CountDeferralsDropsAndPasses) {
+  obs::Registry registry;
+  const obs::Scope scope{nullptr, &registry};
+  AccountNodeConfig config;
+  config.runtime.obs = &scope;
+  AccountNode node(config);
+  node.genesis_fund(addr(1), 10'000'000);
+  node.genesis_fund(addr(2), 10'000'000);
+  // Fee order: A1 B0 B0' B7 A0.
+  //   pass 1: A1 deferred, B0 in, B0' dropped (stale), B7 deferred, A0 in;
+  //   pass 2: A1 in, B7 deferred;
+  //   pass 3: B7 deferred, no progress, back to the pool.
+  node.submit_transaction(make_tx(addr(1), addr(3), 1, 1, /*gas_price=*/50));
+  node.submit_transaction(make_tx(addr(2), addr(3), 1, 0, /*gas_price=*/10));
+  node.submit_transaction(make_tx(addr(2), addr(4), 1, 0, /*gas_price=*/5));
+  node.submit_transaction(make_tx(addr(2), addr(3), 1, 7, /*gas_price=*/3));
+  node.submit_transaction(make_tx(addr(1), addr(3), 1, 0, /*gas_price=*/1));
+  const auto block = node.produce_block(1);
+  EXPECT_EQ(block.transactions.size(), 3u);
+  EXPECT_EQ(node.mempool_size(), 1u);
+
+  const auto counters = registry.counter_values();
+  EXPECT_EQ(counters.at(obs::names::kMetricNodePackDeferred), 4u);
+  EXPECT_EQ(counters.at(obs::names::kMetricNodePackDropped), 1u);
+  EXPECT_EQ(counters.at(obs::names::kMetricNodeTxsIncluded), 3u);
+  const obs::Histogram& passes =
+      registry.histogram(obs::names::kMetricNodePackPasses);
+  EXPECT_EQ(passes.count(), 1u);
+  EXPECT_EQ(passes.sum(), 3.0);
+}
+
+TEST(MiningFailure, AccountNodeKeepsStateAndMempool) {
+  // Difficulty 64 with two nonces per attempt: most attempts give up.
+  // Each failure must leave no trace; the header's timestamp changes per
+  // attempt, so retries eventually mine the same transactions.
+  AccountNodeConfig config;
+  config.mine = true;
+  config.difficulty = 64;
+  config.mine_budget = 2;
+  AccountNode miner(config);
+  miner.genesis_fund(addr(1), 10'000'000);
+  miner.genesis_fund(addr(2), 10'000'000);
+  miner.submit_transaction(make_tx(addr(1), addr(3), 5, 1, /*gas_price=*/9));
+  miner.submit_transaction(make_tx(addr(1), addr(3), 5, 0));
+  miner.submit_transaction(make_tx(addr(2), addr(3), 5, 0, /*gas_price=*/4));
+  const Hash256 genesis = miner.state().digest();
+
+  int failures = 0;
+  std::uint64_t timestamp = 1;
+  for (;; ++timestamp) {
+    ASSERT_LT(timestamp, 10'000u) << "no header mined";
+    try {
+      const auto block = miner.produce_block(timestamp);
+      EXPECT_EQ(block.transactions.size(), 3u);
+      EXPECT_TRUE(meets_target(block.header.hash(), block.header.difficulty));
+      break;
+    } catch (const Error& e) {
+      ASSERT_STREQ(e.what(), "mining budget exhausted");
+      ++failures;
+      EXPECT_EQ(miner.mempool_size(), 3u);
+      EXPECT_EQ(miner.state().digest(), genesis);
+      EXPECT_EQ(miner.ledger().height(), 0u);
+    }
+  }
+  EXPECT_GT(failures, 0);
+  EXPECT_EQ(miner.mempool_size(), 0u);
+  EXPECT_EQ(miner.state().balance(addr(3)), 15u);
+
+  // The mined block carries a root over the post-state, not over any
+  // failed attempt's.
+  AccountNode validator(config);
+  validator.genesis_fund(addr(1), 10'000'000);
+  validator.genesis_fund(addr(2), 10'000'000);
+  validator.receive_block(miner.ledger().tip());
+  EXPECT_EQ(validator.state().digest(), miner.state().digest());
+}
+
+TEST(PackingGolden, SeededStreamProducesRecordedHeaders) {
+  // A late-era Ethereum stream: fee order (gas prices 1..50) puts many a
+  // sender's later nonce before its predecessor, and about 150
+  // submissions per 100-transaction block leave spill-over for the next.
+  // The header hashes and the final digest were recorded with the
+  // exception-driven pack loop; any change to packing order shows here.
+  workload::ChainProfile profile = workload::ethereum_profile();
+  workload::EraParams era = profile.at(1.0);
+  era.txs_per_block = 150;
+  era.position = 0.0;
+  workload::EraParams late = era;
+  late.position = 1.0;
+  profile.eras = {era, late};
+  workload::AccountWorkloadGenerator generator(profile, 29, 5);
+
+  obs::Registry registry;
+  const obs::Scope scope{nullptr, &registry};
+  AccountNodeConfig config;
+  config.max_block_txs = 100;
+  config.runtime.obs = &scope;
+  AccountNode producer(config);
+  generator.state().for_each_account([&](const Address& a) {
+    if (const account::ContractCode* code = generator.state().code(a)) {
+      producer.genesis_deploy(a, *code);
+    }
+  });
+  std::vector<std::vector<account::AccountTx>> blocks;
+  for (int b = 0; b < 5; ++b) {
+    blocks.push_back(generator.next_block().account_txs);
+    for (const account::AccountTx& tx : blocks.back()) {
+      if (producer.state().balance(tx.from) == 0) {
+        producer.genesis_fund(tx.from, 1'000'000'000'000'000ULL);
+      }
+    }
+  }
+  const char* const kHeaderHashes[] = {
+      "876e7184a43a06e9bc89caa266e20073495f0fb3eada40d028ba6fee0c628f7d",
+      "fbd2985175ab8ad72e0af246b7403474c91e1a62cec4a949bb39eac565223da0",
+      "db8511b626dbd99b5f0185ab881015afc9fbc8f9da87921327098f9008bec35e",
+      "c76bf7de66b1fc314040c2fa635b647353793b8a4ae07aeb722941a84c4bcabc",
+      "8107fe6f327e3559ba3acf8b18cdff9c8fec2bc105961f3c4f5df1ac376702ad",
+  };
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (account::AccountTx& tx : blocks[b]) {
+      producer.submit_transaction(std::move(tx));
+    }
+    const auto block = producer.produce_block(b + 1);
+    EXPECT_EQ(block.transactions.size(), 100u);
+    EXPECT_EQ(block.header.hash().to_hex(), kHeaderHashes[b]) << "block " << b;
+  }
+  EXPECT_EQ(producer.mempool_size(), 118u);
+  EXPECT_EQ(producer.state().digest().to_hex(),
+            "d6be3fbea149e8e5ce338f8b1ea8a48c6f6596cfa2cfa47f46fa619cde4ffba9");
+  // The stream exercises the retry path the golden values pin.
+  EXPECT_GT(registry.counter_values().at(obs::names::kMetricNodePackDeferred),
+            0u);
 }
 
 // ------------------------------------------------------------------ ForkTree

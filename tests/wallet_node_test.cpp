@@ -271,5 +271,60 @@ TEST_F(UtxoNodeTest, MinedBlocksVerify) {
   EXPECT_EQ(validator.ledger().height(), 1u);
 }
 
+TEST(UtxoMiningFailure, KeepsUtxoSetAndMempool) {
+  // Difficulty 64 with two nonces per attempt: most attempts give up.
+  // Each failure must leave no trace; the header's timestamp changes per
+  // attempt, so retries eventually mine.
+  UtxoNodeConfig config;
+  config.mine = true;
+  config.difficulty = 64;
+  config.mine_budget = 2;
+  UtxoNode miner(config);
+  Wallet miner_wallet(100);
+  Wallet user_wallet(200);
+  std::uint64_t timestamp = 1;
+  for (;; ++timestamp) {  // the funding block
+    ASSERT_LT(timestamp, 10'000u) << "no header mined";
+    try {
+      miner_wallet.process_block(
+          miner.produce_block(timestamp, miner_wallet.next_receive_script())
+              .transactions);
+      break;
+    } catch (const txconc::Error&) {
+    }
+  }
+
+  const Transaction first = miner_wallet.pay(
+      user_wallet.next_receive_script(), 10'0000'0000ULL, 1000ULL);
+  miner.submit_transaction(first);
+  const std::size_t utxos = miner.utxo_set().size();
+  const std::uint64_t value = miner.utxo_set().total_value();
+  int failures = 0;
+  for (++timestamp;; ++timestamp) {
+    ASSERT_LT(timestamp, 10'000u) << "no header mined";
+    try {
+      const auto block =
+          miner.produce_block(timestamp, miner_wallet.next_receive_script());
+      ASSERT_EQ(block.transactions.size(), 2u);
+      EXPECT_EQ(block.transactions[1].txid(), first.txid());
+      // The coinbase still collects the returned transaction's fee.
+      EXPECT_EQ(block.transactions[0].total_output(),
+                config.coinbase_subsidy + 1000ULL);
+      break;
+    } catch (const txconc::Error& e) {
+      ASSERT_STREQ(e.what(), "mining budget exhausted");
+      ++failures;
+      EXPECT_EQ(miner.mempool_size(), 1u);
+      EXPECT_EQ(miner.utxo_set().size(), utxos);
+      EXPECT_EQ(miner.utxo_set().total_value(), value);
+      EXPECT_TRUE(miner.utxo_set().contains(first.inputs()[0].prevout));
+      EXPECT_EQ(miner.ledger().height(), 1u);
+    }
+  }
+  EXPECT_GT(failures, 0);
+  EXPECT_EQ(miner.mempool_size(), 0u);
+  EXPECT_EQ(miner.ledger().height(), 2u);
+}
+
 }  // namespace
 }  // namespace txconc
