@@ -8,7 +8,8 @@
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
 #    common_test + chain_test put the SHA-NI kernel's unaligned loads and
-#    the merkle/ledger paths under UBSan;
+#    the merkle/ledger paths under UBSan; account_test + state_trie_test
+#    cover the flat account table, whose records move when it grows;
 #    txconc_profile then analyzes the traced exec_test run, driving the
 #    trace parser and span-DAG analyzer over sanitizer-instrumented code;
 #  * tsan  — TSan on the same binaries: data races, with the conformance
@@ -110,6 +111,7 @@ if lane_enabled asan; then
     --target obs_test --target trace_propagation_test --target hotpath_test \
     --target block_stm_test --target critpath_test --target contention_test \
     --target common_test --target chain_test \
+    --target account_test --target state_trie_test \
     --target node_test --target wallet_node_test \
     --target parallel_executor --target txconc_profile
   # Leak checking needs ptrace, which container CI runners often deny; the
@@ -118,6 +120,10 @@ if lane_enabled asan; then
   # merkle reduction, under UBSan.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/common_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/chain_test
+  # The flat account table: records move when it grows, including in the
+  # middle of a contract call, and the trie reads them back.
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/account_test
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/state_trie_test
   # The producers' pack loops: moved-from candidates, compacted deferrals,
   # the reused receipt slot, and the mining-failure requeue.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/node_test

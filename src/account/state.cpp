@@ -43,11 +43,6 @@ void WriteLog::apply_to(State& target) const {
 
 // ------------------------------------------------------------------- StateDb
 
-const StateDb::AccountRecord* StateDb::find(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  return it == accounts_.end() ? nullptr : &it->second;
-}
-
 std::uint64_t StateDb::balance(const Address& addr) const {
   const AccountRecord* rec = find(addr);
   return rec ? rec->balance : 0;
@@ -83,20 +78,29 @@ void StateDb::set_code(const Address& addr, ContractCode new_code) {
 
 std::uint64_t StateDb::storage(const Address& addr, StorageKey key) const {
   const AccountRecord* rec = find(addr);
-  if (!rec) return 0;
-  const auto it = rec->storage.find(key);
-  return it == rec->storage.end() ? 0 : it->second;
+  if (rec == nullptr || rec->storage == kNoStorage) return 0;
+  const std::uint64_t* slot = storage_[rec->storage].find(key);
+  return slot == nullptr ? 0 : *slot;
+}
+
+std::uint64_t StateDb::put_slot(AccountRecord& rec, StorageKey key,
+                                std::uint64_t value) {
+  if (rec.storage == kNoStorage) {
+    rec.storage = static_cast<std::uint32_t>(storage_.size());
+    storage_.emplace_back();
+  }
+  std::uint64_t& slot = storage_[rec.storage][key];
+  const std::uint64_t old = slot;
+  num_slots_ += static_cast<std::size_t>(value != 0);
+  num_slots_ -= static_cast<std::size_t>(old != 0);
+  slot = value;
+  return old;
 }
 
 void StateDb::set_storage(const Address& addr, StorageKey key,
                           std::uint64_t value) {
-  AccountRecord& rec = record(addr);
-  if (journaling_) {
-    const auto it = rec.storage.find(key);
-    journal_.push_back(
-        StorageEntry{addr, key, it == rec.storage.end() ? 0 : it->second});
-  }
-  rec.storage[key] = value;
+  const std::uint64_t old = put_slot(record(addr), key, value);
+  if (journaling_) journal_.push_back(StorageEntry{addr, key, old});
 }
 
 Snapshot StateDb::snapshot() const {
@@ -131,7 +135,7 @@ void StateDb::revert(Snapshot snap) {
           } else if constexpr (std::is_same_v<T, CodeEntry>) {
             rec.code = e.old_code;
           } else {
-            rec.storage[e.key] = e.old_value;
+            put_slot(rec, e.key, e.old_value);
           }
         },
         entry);
@@ -143,7 +147,7 @@ void StateDb::flush_journal() {
 }
 
 void StateDb::clear_dirty() {
-  for (const Address& addr : dirty_) accounts_.find(addr)->second.dirty = false;
+  for (const Address& addr : dirty_) accounts_.find(addr)->dirty = false;
   dirty_.clear();
 }
 
@@ -156,56 +160,64 @@ JournalHold::JournalHold(StateDb& db) : db_(db) {
 
 std::uint64_t StateDb::total_supply() const {
   std::uint64_t sum = 0;
-  for (const auto& [addr, rec] : accounts_) sum += rec.balance;
+  accounts_.for_each([&](const Address&, const AccountRecord& rec) {
+    sum += rec.balance;
+  });
   return sum;
 }
 
 Hash256 StateDb::account_digest(const Address& addr) const {
   const AccountRecord* rec = find(addr);
-  if (rec == nullptr) return Hash256{};
+  return rec == nullptr ? Hash256{} : record_digest(addr, *rec);
+}
 
+Hash256 StateDb::record_digest(const Address& addr,
+                               const AccountRecord& rec) const {
   // Storage entries XOR-combined (order-independent), with zero-valued
   // slots treated as absent.
   std::array<std::uint8_t, 32> storage_acc{};
   bool any_storage = false;
-  for (const auto& [key, value] : rec->storage) {
-    if (value == 0) continue;
-    any_storage = true;
-    HashWriter sw;
-    sw.u64(key);
-    sw.u64(value);
-    const Hash256 sh = sw.finish();
-    for (std::size_t i = 0; i < 32; ++i) storage_acc[i] ^= sh.bytes[i];
+  if (rec.storage != kNoStorage) {
+    storage_[rec.storage].for_each([&](StorageKey key, std::uint64_t value) {
+      if (value == 0) return;
+      any_storage = true;
+      HashWriter sw;
+      sw.u64(key);
+      sw.u64(value);
+      const Hash256 sh = sw.finish();
+      for (std::size_t i = 0; i < 32; ++i) storage_acc[i] ^= sh.bytes[i];
+    });
   }
   // Accounts in their default state digest like absent accounts.
-  if (rec->balance == 0 && rec->nonce == 0 && !rec->code && !any_storage) {
+  if (rec.balance == 0 && rec.nonce == 0 && !rec.code && !any_storage) {
     return Hash256{};
   }
   HashWriter w;
   w.raw(addr.bytes);
-  w.u64(rec->balance);
-  w.u64(rec->nonce);
+  w.u64(rec.balance);
+  w.u64(rec.nonce);
   w.raw(storage_acc);
-  if (rec->code) {
-    w.bytes(rec->code->code);
-    w.u32(static_cast<std::uint32_t>(rec->code->address_table.size()));
-    for (const Address& a : rec->code->address_table) w.raw(a.bytes);
+  if (rec.code) {
+    w.bytes(rec.code->code);
+    w.u32(static_cast<std::uint32_t>(rec.code->address_table.size()));
+    for (const Address& a : rec.code->address_table) w.raw(a.bytes);
   }
   return w.finish();
 }
 
 void StateDb::for_each_account(
     const std::function<void(const Address&)>& fn) const {
-  for (const auto& [addr, rec] : accounts_) fn(addr);
+  accounts_.for_each(
+      [&](const Address& addr, const AccountRecord&) { fn(addr); });
 }
 
 Hash256 StateDb::digest() const {
   // XOR-combine per-account digests: order-independent without sorting.
   std::array<std::uint8_t, 32> acc{};
-  for (const auto& [addr, rec] : accounts_) {
-    const Hash256 h = account_digest(addr);
+  accounts_.for_each([&](const Address& addr, const AccountRecord& rec) {
+    const Hash256 h = record_digest(addr, rec);
     for (std::size_t i = 0; i < 32; ++i) acc[i] ^= h.bytes[i];
-  }
+  });
   Hash256 out;
   out.bytes = acc;
   return out;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -37,6 +38,30 @@ struct SlotIdHash {
     // Same hash_combine mixing as SlotAccessHash: XOR-folding the raw
     // key aliases related (address, key) pairs.
     return SlotAccessHash{}(SlotAccess{s.addr, s.key});
+  }
+};
+
+/// StateDb's account-table hash: every byte of the address through
+/// mix64, since FlatTable indexes by the low bits and std::hash<Address>
+/// reads only the first eight bytes.
+struct AccountHash {
+  std::size_t operator()(const Address& a) const noexcept {
+    std::uint64_t w0 = 0;
+    std::uint64_t w1 = 0;
+    std::uint32_t w2 = 0;
+    std::memcpy(&w0, a.bytes.data(), sizeof(w0));
+    std::memcpy(&w1, a.bytes.data() + 8, sizeof(w1));
+    std::memcpy(&w2, a.bytes.data() + 16, sizeof(w2));
+    return static_cast<std::size_t>(
+        mix64(w0 ^ mix64(w1 ^ (std::uint64_t{w2} * 0x9e3779b97f4a7c15ULL))));
+  }
+};
+
+/// StateDb's per-account storage-table hash (raw keys are often small or
+/// strided, e.g. multiples of 2^16, and would share their low bits).
+struct StorageKeyHash {
+  std::size_t operator()(StorageKey key) const noexcept {
+    return static_cast<std::size_t>(mix64(key));
   }
 };
 
@@ -158,6 +183,9 @@ class StateDb final : public State {
   void clear_dirty();
 
   std::size_t num_accounts() const { return accounts_.size(); }
+  /// Storage slots holding a non-zero value, over all accounts (a running
+  /// count, O(1)).
+  std::size_t num_storage_slots() const { return num_slots_; }
   /// Sum of all balances (invariant checks in tests).
   std::uint64_t total_supply() const;
 
@@ -177,12 +205,16 @@ class StateDb final : public State {
  private:
   friend class JournalHold;
 
+  using StorageTable = common::FlatTable<StorageKey, std::uint64_t,
+                                         StorageKeyHash>;
+  static constexpr std::uint32_t kNoStorage = ~std::uint32_t{0};
+
   struct AccountRecord {
     std::uint64_t balance = 0;
     std::uint64_t nonce = 0;
     std::shared_ptr<const ContractCode> code;  // shared with overlays
-    std::unordered_map<StorageKey, std::uint64_t> storage;
-    bool dirty = false;  // listed in dirty_
+    std::uint32_t storage = kNoStorage;  // index into storage_
+    bool dirty = false;                  // listed in dirty_
   };
 
   struct BalanceEntry {
@@ -205,7 +237,8 @@ class StateDb final : public State {
   using JournalEntry =
       std::variant<BalanceEntry, NonceEntry, CodeEntry, StorageEntry>;
 
-  /// The record a write lands in, marked dirty.
+  /// The record a write lands in, marked dirty. May insert, so it
+  /// invalidates every other AccountRecord reference (see accounts_).
   AccountRecord& record(const Address& addr) {
     AccountRecord& rec = accounts_[addr];
     if (!rec.dirty) {
@@ -214,9 +247,26 @@ class StateDb final : public State {
     }
     return rec;
   }
-  const AccountRecord* find(const Address& addr) const;
+  const AccountRecord* find(const Address& addr) const {
+    return accounts_.find(addr);
+  }
+  Hash256 record_digest(const Address& addr, const AccountRecord& rec) const;
+  /// Store `value` in one of rec's slots, creating rec's storage table on
+  /// its first write; returns the slot's previous value.
+  std::uint64_t put_slot(AccountRecord& rec, StorageKey key,
+                         std::uint64_t value);
 
-  std::unordered_map<Address, AccountRecord> accounts_;
+  // Open-addressed and flat: a record lives inline in the slot array, and
+  // growth moves every record. Hold no AccountRecord& (nor a reference
+  // into a storage table) across another insert into the same table.
+  // code() pointers survive growth: they point at the shared ContractCode,
+  // not into the record. Accounts are never erased.
+  common::FlatTable<Address, AccountRecord, AccountHash> accounts_;
+  // Out-of-line storage: one table per account that has written a slot,
+  // indexed by AccountRecord::storage, so account_digest walks one
+  // account's slots and storage-less accounts pay four bytes.
+  std::vector<StorageTable> storage_;
+  std::size_t num_slots_ = 0;  // non-zero slots over storage_
   mutable std::vector<JournalEntry> journal_;
   std::vector<Address> dirty_;
   bool journaling_ = true;

@@ -71,6 +71,17 @@ struct SlotAccess {
   auto operator<=>(const SlotAccess&) const = default;
 };
 
+/// The splitmix64 finalizer: every input bit reaches every output bit, so
+/// masking the low bits (open addressing) sees the whole key.
+constexpr std::uint64_t mix64(std::uint64_t k) noexcept {
+  k ^= k >> 30;
+  k *= 0xbf58476d1ce4e5b9ULL;
+  k ^= k >> 27;
+  k *= 0x94d049bb133111ebULL;
+  k ^= k >> 31;
+  return k;
+}
+
 /// Hash for SlotAccess keys in unordered containers (conflict detection,
 /// OCC validation, block analysis). Boost-style hash_combine: a plain
 /// `hash(address) ^ key*phi` lets related (address, key) pairs cancel each
@@ -79,12 +90,7 @@ struct SlotAccess {
 struct SlotAccessHash {
   std::size_t operator()(const SlotAccess& s) const noexcept {
     std::size_t seed = std::hash<Address>{}(s.address);
-    std::uint64_t k = s.key;  // splitmix64 finalizer decorrelates key bits
-    k ^= k >> 30;
-    k *= 0xbf58476d1ce4e5b9ULL;
-    k ^= k >> 27;
-    k *= 0x94d049bb133111ebULL;
-    k ^= k >> 31;
+    const std::uint64_t k = mix64(s.key);  // decorrelates key bits
     seed ^= static_cast<std::size_t>(k) + 0x9e3779b97f4a7c15ULL +
             (seed << 6) + (seed >> 2);
     return seed;

@@ -34,6 +34,14 @@ double elapsed_us(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// State-size gauges, so a memory move can be read against state size.
+void set_state_gauges(obs::Registry& registry, const account::StateDb& state) {
+  registry.gauge(obs::names::kMetricNodeStateAccounts)
+      .set(static_cast<double>(state.num_accounts()));
+  registry.gauge(obs::names::kMetricNodeStateStorageSlots)
+      .set(static_cast<double>(state.num_storage_slots()));
+}
+
 }  // namespace
 
 AccountNode::AccountNode(AccountNodeConfig config, BlockExecutionFn executor)
@@ -90,7 +98,13 @@ void AccountNode::submit_transaction(account::AccountTx tx) {
 std::vector<account::Receipt> AccountNode::execute(
     account::StateDb& state, std::span<const account::AccountTx> txs,
     const obs::TraceContext& trace) {
+  // A validator checks gas_used and the state root, never the receipts'
+  // read/write sets, so it executes without access tracking, like the
+  // producer. Engines that detect conflicts from the sets turn tracking
+  // back on for themselves, and an installed recorder forces it on
+  // (DESIGN.md §21.4).
   account::RuntimeConfig runtime = config_.runtime;
+  runtime.track_accesses = false;
   runtime.trace = trace;
   if (executor_) return executor_(state, txs, runtime);
   std::vector<account::Receipt> receipts;
@@ -224,6 +238,7 @@ Block<account::AccountTx> AccountNode::produce_block(
     registry->counter(obs::names::kMetricNodePackDropped).add(drops);
     registry->histogram(obs::names::kMetricNodePackPasses)
         .observe(static_cast<double>(passes));
+    set_state_gauges(*registry, state_);
   }
   if (config_.snapshots != nullptr) config_.snapshots->tick();
   // Fork the context inside the producing span so the flow arrow starts
@@ -296,6 +311,7 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     registry->counter(obs::names::kMetricNodeBlocksReceived).add(1);
     registry->counter(obs::names::kMetricNodeTxsExecuted).add(block.transactions.size());
     registry->histogram(obs::names::kMetricNodeReceiveUs).observe(elapsed_us(start));
+    set_state_gauges(*registry, state_);
   }
   if (config_.snapshots != nullptr) config_.snapshots->tick();
 }

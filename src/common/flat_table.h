@@ -7,6 +7,10 @@
 // tests). clear() therefore only bumps an epoch stamp — slots written in
 // earlier epochs read as empty — instead of memsetting or freeing the
 // backing array.
+//
+// StateDb keeps its accounts and each account's storage in FlatTables too
+// (DESIGN.md §21). Those tables are never cleared or erased from, so no
+// value (a record's shared ContractCode) lingers in a dead slot.
 #pragma once
 
 #include <cstddef>

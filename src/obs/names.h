@@ -131,6 +131,11 @@ inline constexpr const char* kMetricNodeBlocksReceived =
     "node.blocks_received";
 inline constexpr const char* kMetricNodeTxsExecuted = "node.txs_executed";
 inline constexpr const char* kMetricNodeReceiveUs = "node.receive_us";
+// Gauges set after every produced and received block (DESIGN.md §21):
+// the node's account count and its non-zero storage slots.
+inline constexpr const char* kMetricNodeStateAccounts = "node.state_accounts";
+inline constexpr const char* kMetricNodeStateStorageSlots =
+    "node.state_storage_slots";
 inline constexpr const char* kMetricPbftRounds = "pbft.rounds";
 inline constexpr const char* kMetricPbftMessages = "pbft.messages";
 inline constexpr const char* kMetricPbftViewChanges = "pbft.view_changes";

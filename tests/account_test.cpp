@@ -1,12 +1,18 @@
 // Tests for the account substrate: state, VM, runtime, contracts.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <optional>
+#include <set>
+
 #include "account/contracts.h"
 #include "account/runtime.h"
 #include "account/state.h"
 #include "account/types.h"
 #include "account/vm.h"
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace txconc::account {
 namespace {
@@ -1087,6 +1093,409 @@ TEST_F(RuntimeTest, SupplyConservedAcrossContractCalls) {
   const Receipt r = apply_transaction(db_, tx, config_);
   ASSERT_TRUE(r.success) << r.error;
   EXPECT_EQ(db_.total_supply(), supply_before - 3 * r.gas_used);
+}
+
+// ------------------------------------------------- StateDb vs a map model
+
+/// The StateDb contract restated over std::map: values, the undo journal
+/// with JournalHold/JournalPause semantics, the dirty-address set, and the
+/// account digest computed from its definition.
+class ReferenceState {
+ public:
+  struct Account {
+    std::uint64_t balance = 0;
+    std::uint64_t nonce = 0;
+    std::optional<ContractCode> code;
+    std::map<StorageKey, std::uint64_t> storage;
+  };
+
+  std::uint64_t balance(const Address& a) const { return get(a).balance; }
+  std::uint64_t nonce(const Address& a) const { return get(a).nonce; }
+  const std::optional<ContractCode>& code(const Address& a) const {
+    return get(a).code;
+  }
+  std::uint64_t storage(const Address& a, StorageKey key) const {
+    const auto& slots = get(a).storage;
+    const auto it = slots.find(key);
+    return it == slots.end() ? 0 : it->second;
+  }
+
+  void set_balance(const Address& a, std::uint64_t v) {
+    Account& acc = write(a);
+    log({a, Field::kBalance, 0, acc.balance, {}});
+    acc.balance = v;
+  }
+  void set_nonce(const Address& a, std::uint64_t v) {
+    Account& acc = write(a);
+    log({a, Field::kNonce, 0, acc.nonce, {}});
+    acc.nonce = v;
+  }
+  void set_code(const Address& a, const ContractCode& c) {
+    Account& acc = write(a);
+    log({a, Field::kCode, 0, 0, acc.code});
+    acc.code = c;
+  }
+  void set_storage(const Address& a, StorageKey key, std::uint64_t v) {
+    const std::uint64_t old = storage(a, key);
+    write(a).storage[key] = v;
+    log({a, Field::kStorage, key, old, {}});
+  }
+
+  std::size_t snapshot() const { return journal_.size(); }
+  void revert(std::size_t snap) {
+    while (journal_.size() > snap) {
+      const Undo u = journal_.back();
+      journal_.pop_back();
+      Account& acc = write(u.addr);
+      switch (u.field) {
+        case Field::kBalance: acc.balance = u.old_value; break;
+        case Field::kNonce: acc.nonce = u.old_value; break;
+        case Field::kCode: acc.code = u.old_code; break;
+        case Field::kStorage: acc.storage[u.key] = u.old_value; break;
+      }
+    }
+  }
+  void flush_journal() {
+    if (holds_ == 0) journal_.clear();
+  }
+  void set_journaling(bool on) { journaling_ = on || holds_ > 0; }
+  bool journaling() const { return journaling_; }
+  void hold() { ++holds_; }
+  void release() { --holds_; }
+
+  const std::set<Address>& dirty() const { return dirty_; }
+  void clear_dirty() { dirty_.clear(); }
+  std::size_t num_accounts() const { return accounts_.size(); }
+
+  std::uint64_t total_supply() const {
+    std::uint64_t sum = 0;
+    for (const auto& [a, acc] : accounts_) sum += acc.balance;
+    return sum;
+  }
+
+  Hash256 account_digest(const Address& a) const {
+    const Account& acc = get(a);
+    std::array<std::uint8_t, 32> storage_acc{};
+    bool any_storage = false;
+    for (const auto& [key, value] : acc.storage) {
+      if (value == 0) continue;
+      any_storage = true;
+      HashWriter sw;
+      sw.u64(key);
+      sw.u64(value);
+      const Hash256 sh = sw.finish();
+      for (std::size_t i = 0; i < 32; ++i) storage_acc[i] ^= sh.bytes[i];
+    }
+    if (acc.balance == 0 && acc.nonce == 0 && !acc.code && !any_storage) {
+      return Hash256{};
+    }
+    HashWriter w;
+    w.raw(a.bytes);
+    w.u64(acc.balance);
+    w.u64(acc.nonce);
+    w.raw(storage_acc);
+    if (acc.code) {
+      w.bytes(acc.code->code);
+      w.u32(static_cast<std::uint32_t>(acc.code->address_table.size()));
+      for (const Address& t : acc.code->address_table) w.raw(t.bytes);
+    }
+    return w.finish();
+  }
+
+  Hash256 digest() const {
+    Hash256 out;
+    for (const auto& [a, acc] : accounts_) {
+      const Hash256 h = account_digest(a);
+      for (std::size_t i = 0; i < 32; ++i) out.bytes[i] ^= h.bytes[i];
+    }
+    return out;
+  }
+
+  const std::map<Address, Account>& accounts() const { return accounts_; }
+
+ private:
+  enum class Field { kBalance, kNonce, kCode, kStorage };
+  struct Undo {
+    Address addr;
+    Field field;
+    StorageKey key;
+    std::uint64_t old_value;
+    std::optional<ContractCode> old_code;
+  };
+
+  const Account& get(const Address& a) const {
+    static const Account kEmpty;
+    const auto it = accounts_.find(a);
+    return it == accounts_.end() ? kEmpty : it->second;
+  }
+  Account& write(const Address& a) {
+    dirty_.insert(a);
+    return accounts_[a];
+  }
+  void log(Undo u) {
+    if (journaling_) journal_.push_back(std::move(u));
+  }
+
+  std::map<Address, Account> accounts_;
+  std::vector<Undo> journal_;
+  std::set<Address> dirty_;
+  bool journaling_ = true;
+  unsigned holds_ = 0;
+};
+
+/// Addresses that agree in their first eight bytes (all of
+/// std::hash<Address>) and differ only further on.
+std::vector<Address> shared_prefix_addresses(std::size_t n) {
+  std::vector<Address> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    Address a = addr(0xC0FFEE);
+    a.bytes[19] = static_cast<std::uint8_t>(i);
+    a.bytes[12] = static_cast<std::uint8_t>(i >> 8);
+    out.push_back(a);
+  }
+  return out;
+}
+
+/// Addresses whose AccountHash agrees in its low 16 bits: one probe
+/// neighbourhood until the account table passes 2^16 slots.
+std::vector<Address> colliding_addresses(std::size_t n) {
+  std::vector<Address> out;
+  Address a = addr(0xBEEF);
+  const std::size_t target = AccountHash{}(a) & 0xFFFF;
+  for (std::uint32_t i = 1; out.size() < n; ++i) {
+    std::memcpy(a.bytes.data() + 16, &i, sizeof(i));
+    if ((AccountHash{}(a) & 0xFFFF) == target) out.push_back(a);
+  }
+  return out;
+}
+
+void expect_same_dirty(const StateDb& db, const ReferenceState& ref) {
+  const std::vector<Address>& listed = db.dirty_accounts();
+  const std::set<Address> listed_set(listed.begin(), listed.end());
+  EXPECT_EQ(listed_set.size(), listed.size()) << "an address listed twice";
+  EXPECT_EQ(listed_set, ref.dirty());
+}
+
+void expect_same_state(const StateDb& db, const ReferenceState& ref) {
+  EXPECT_EQ(db.num_accounts(), ref.num_accounts());
+  EXPECT_EQ(db.total_supply(), ref.total_supply());
+  EXPECT_EQ(db.digest(), ref.digest());
+  std::size_t mismatched = 0;
+  std::size_t slots = 0;
+  for (const auto& [a, acc] : ref.accounts()) {
+    if (db.account_digest(a) != ref.account_digest(a)) ++mismatched;
+    for (const auto& [key, value] : acc.storage) slots += value != 0;
+  }
+  EXPECT_EQ(mismatched, 0u);
+  EXPECT_EQ(db.num_storage_slots(), slots);
+}
+
+TEST(StateDbDifferential, MatchesMapModelAcrossGrowthAndJournaling) {
+  // Over 10^5 fresh accounts the account table doubles from 16 slots to
+  // 2^18. Crafted addresses share std::hash<Address> outright or the low
+  // 16 bits of the table hash, and storage keys include multiples of 2^16.
+  std::vector<Address> pool = shared_prefix_addresses(64);
+  const std::vector<Address> colliding = colliding_addresses(48);
+  pool.insert(pool.end(), colliding.begin(), colliding.end());
+  for (std::uint64_t i = 0; i < 110'000; ++i) pool.push_back(addr(i + 1));
+  const std::vector<Address> crafted(pool.begin(), pool.begin() + 112);
+  Rng(3).shuffle(pool);
+
+  StateDb db;
+  ReferenceState ref;
+  Rng rng(17);
+  std::size_t fresh = 0;  // pool[0, fresh) have been written
+  std::vector<Snapshot> snaps;
+  std::optional<JournalHold> hold;
+  std::optional<JournalPause> pause;
+
+  const auto pick = [&]() -> const Address& {
+    if (rng.bernoulli(0.1)) return crafted[rng.uniform(crafted.size())];
+    if (fresh < pool.size() && (fresh == 0 || rng.bernoulli(0.6))) {
+      return pool[fresh++];
+    }
+    return pool[rng.uniform(fresh)];
+  };
+  const auto key = [&]() -> StorageKey {
+    return rng.bernoulli(0.5) ? rng.uniform(8) << 16 : rng.uniform(64);
+  };
+
+  constexpr int kSteps = 350'000;
+  for (int step = 1; step <= kSteps; ++step) {
+    const std::uint64_t op = rng.uniform(100);
+    if (op < 30) {
+      const Address& a = pick();
+      const std::uint64_t v = rng.uniform(1'000'000);
+      db.set_balance(a, v);
+      ref.set_balance(a, v);
+    } else if (op < 40) {
+      const Address& a = pick();
+      const std::uint64_t v = rng.uniform(1000);
+      db.set_nonce(a, v);
+      ref.set_nonce(a, v);
+    } else if (op < 60) {
+      const Address& a = pick();
+      const StorageKey k = key();
+      const std::uint64_t v = rng.bernoulli(0.2) ? 0 : 1 + rng.uniform(1000);
+      db.set_storage(a, k, v);
+      ref.set_storage(a, k, v);
+    } else if (op < 61) {
+      const Address& a = pick();
+      const ContractCode c{Bytes{static_cast<std::uint8_t>(rng.uniform(256)),
+                                 0x01},
+                           {addr(rng.uniform(50))}};
+      db.set_code(a, c);
+      ref.set_code(a, c);
+    } else if (op < 80) {
+      const Address a = rng.bernoulli(0.1) ? addr(7'000'000 + step) : pick();
+      const StorageKey k = key();
+      ASSERT_EQ(db.balance(a), ref.balance(a)) << "step " << step;
+      ASSERT_EQ(db.nonce(a), ref.nonce(a)) << "step " << step;
+      ASSERT_EQ(db.storage(a, k), ref.storage(a, k)) << "step " << step;
+      const ContractCode* c = db.code(a);
+      ASSERT_EQ(c != nullptr, ref.code(a).has_value()) << "step " << step;
+      if (c != nullptr) {
+        ASSERT_EQ(*c, *ref.code(a)) << "step " << step;
+      }
+    } else if (op < 85) {
+      if (ref.journaling()) {
+        snaps.push_back(db.snapshot());
+        ASSERT_EQ(snaps.back(), ref.snapshot());
+      } else {
+        EXPECT_THROW(db.snapshot(), UsageError);
+      }
+    } else if (op < 89) {
+      if (!snaps.empty() && ref.journaling()) {
+        const std::size_t i = rng.uniform(snaps.size());
+        db.revert(snaps[i]);
+        ref.revert(snaps[i]);
+        snaps.resize(i);
+      } else if (!snaps.empty()) {
+        EXPECT_THROW(db.revert(snaps.back()), UsageError);
+      }
+    } else if (op < 92) {
+      db.flush_journal();
+      ref.flush_journal();
+      if (!hold) snaps.clear();
+    } else if (op < 94) {
+      expect_same_dirty(db, ref);
+      db.clear_dirty();
+      ref.clear_dirty();
+    } else if (op < 97) {
+      if (!hold && !pause) {  // a hold needs journaling on
+        hold.emplace(db);
+        ref.hold();
+      } else if (hold && !pause) {
+        hold.reset();
+        ref.release();
+      }
+    } else {
+      if (!pause) {
+        pause.emplace(db);
+        ref.set_journaling(false);
+      } else {
+        pause.reset();
+        ref.set_journaling(true);
+      }
+      ASSERT_EQ(db.journaling(), ref.journaling()) << "step " << step;
+    }
+    if (step % 100'000 == 0) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      expect_same_state(db, ref);
+      expect_same_dirty(db, ref);
+    }
+  }
+  EXPECT_GT(db.num_accounts(), 100'000u);
+  expect_same_state(db, ref);
+  expect_same_dirty(db, ref);
+  for (const Address& a : crafted) {
+    EXPECT_EQ(db.account_digest(a), ref.account_digest(a));
+  }
+}
+
+// ----------------------------------------- account-table growth mid-call
+
+/// A relay whose callee splits the call value across `n` recipients that
+/// do not exist yet: the account table grows while the VM runs both the
+/// relay's and the splitter's code.
+struct FanOut {
+  explicit FanOut(std::size_t n) : splitter(contracts::payout_splitter()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      splitter.address_table.push_back(addr(900'000 + i));
+    }
+    tx.from = sender;
+    tx.to = relay_addr;
+    tx.value = 1000 * n;
+    tx.args = {0};
+    tx.gas_limit = 40'000'000;
+  }
+
+  void setup(StateDb& db) const {
+    genesis_deploy(db, splitter_addr, splitter);
+    genesis_deploy(db, relay_addr, contracts::relay(splitter_addr));
+    db.set_balance(sender, 1'000'000'000);
+    db.flush_journal();
+  }
+  const std::vector<Address>& recipients() const {
+    return splitter.address_table;
+  }
+
+  const Address sender = addr(1);
+  const Address relay_addr = addr(2);
+  const Address splitter_addr = addr(3);
+  ContractCode splitter;
+  AccountTx tx;
+};
+
+TEST(StateDbGrowth, ContractFanOutMatchesPreGrownState) {
+  const FanOut fan(3000);
+  StateDb grows;
+  fan.setup(grows);
+  StateDb pregrown;
+  fan.setup(pregrown);
+  // Zero-balance records digest like absent accounts, so this changes
+  // the table's size but not the state.
+  for (const Address& r : fan.recipients()) pregrown.set_balance(r, 0);
+  pregrown.flush_journal();
+  ASSERT_EQ(pregrown.digest(), grows.digest());
+  const std::size_t accounts_before = grows.num_accounts();
+
+  const Receipt grown = apply_transaction(grows, fan.tx);
+  const Receipt flat = apply_transaction(pregrown, fan.tx);
+  ASSERT_TRUE(grown.success) << grown.error;
+  EXPECT_EQ(grows.num_accounts(), accounts_before + fan.recipients().size());
+  EXPECT_EQ(grown.gas_used, flat.gas_used);
+  EXPECT_EQ(grown.return_value, flat.return_value);
+  EXPECT_EQ(grown.reads, flat.reads);
+  EXPECT_EQ(grown.writes, flat.writes);
+  ASSERT_EQ(grown.internal_txs.size(), flat.internal_txs.size());
+  EXPECT_EQ(grown.internal_txs.size(), 1 + fan.recipients().size());
+  for (std::size_t i = 0; i < grown.internal_txs.size(); ++i) {
+    EXPECT_EQ(grown.internal_txs[i].to, flat.internal_txs[i].to) << i;
+    EXPECT_EQ(grown.internal_txs[i].value, flat.internal_txs[i].value) << i;
+  }
+  EXPECT_EQ(grows.digest(), pregrown.digest());
+  EXPECT_EQ(grows.balance(fan.recipients().back()), 1000u);
+}
+
+TEST(StateDbGrowth, RevertedFanOutRestoresPreTransactionDigest) {
+  const FanOut fan(3000);
+  StateDb db;
+  fan.setup(db);
+  const Hash256 before = db.digest();
+  const std::uint64_t supply = db.total_supply();
+  const Snapshot snap = db.snapshot();
+  const Receipt r = apply_transaction(db, fan.tx);
+  ASSERT_TRUE(r.success) << r.error;
+  ASSERT_NE(db.digest(), before);
+  db.revert(snap);
+  EXPECT_EQ(db.digest(), before);
+  EXPECT_EQ(db.total_supply(), supply);
+  EXPECT_EQ(db.balance(fan.recipients().front()), 0u);
+  // The contracts' code survived the moves and still runs.
+  const Receipt again = apply_transaction(db, fan.tx);
+  ASSERT_TRUE(again.success) << again.error;
+  EXPECT_EQ(again.gas_used, r.gas_used);
 }
 
 }  // namespace

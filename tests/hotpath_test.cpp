@@ -492,5 +492,62 @@ TEST(ProduceBlockAllocations, PerBlockNotPerTransaction) {
       << "100 txs: " << small << " allocations, 1000 txs: " << large;
 }
 
+// ------------------------------------------------------ block validation
+
+// Heap allocations of a warm sequential receive_block of `txs` plain
+// transfers between existing accounts: the validator has already taken
+// a block of the same shape, so its journal, dirty list and trie are
+// sized, and the state never grows.
+std::uint64_t validate_allocations(std::uint64_t txs) {
+  chain::AccountNodeConfig config;
+  config.max_block_txs = txs;
+  config.block_gas_limit = 30'000 * txs;
+  std::shared_ptr<exec::BlockExecutor> engine =
+      exec::make_executor("sequential", 1);
+  chain::AccountNode producer(config);
+  chain::AccountNode validator(
+      config, [engine](account::StateDb& state,
+                       std::span<const account::AccountTx> block,
+                       const account::RuntimeConfig& runtime) {
+        return engine->execute_block(state, block, runtime).receipts;
+      });
+  for (chain::AccountNode* node : {&producer, &validator}) {
+    for (std::uint64_t s = 1; s <= txs; ++s) {
+      node->genesis_fund(addr(s), 1'000'000'000);
+      node->genesis_fund(addr(100'000 + s), 1);
+    }
+  }
+  std::vector<chain::Block<account::AccountTx>> blocks;
+  for (std::uint64_t nonce = 0; nonce < 2; ++nonce) {
+    for (std::uint64_t s = 1; s <= txs; ++s) {
+      account::AccountTx tx;
+      tx.from = addr(s);
+      tx.to = addr(100'000 + s);
+      tx.value = 5;
+      tx.nonce = nonce;
+      tx.gas_limit = 30'000;
+      producer.submit_transaction(std::move(tx));
+    }
+    blocks.push_back(producer.produce_block(nonce + 1));
+    EXPECT_EQ(blocks.back().transactions.size(), txs);
+  }
+  validator.receive_block(blocks[0]);
+  const std::uint64_t before = allocations();
+  validator.receive_block(blocks[1]);
+  const std::uint64_t spent = allocations() - before;
+  EXPECT_EQ(validator.state().digest(), producer.state().digest());
+  return spent;
+}
+
+// A validator keeps only the receipts' gas, so it executes without access
+// tracking: no read/write-set vectors per receipt. Ten times the
+// transactions may add only container growth, as for packing.
+TEST(ReceiveBlockAllocations, SequentialValidatePerBlockNotPerTransaction) {
+  const std::uint64_t small = validate_allocations(100);
+  const std::uint64_t large = validate_allocations(1000);
+  EXPECT_LE(large, small + 64)
+      << "100 txs: " << small << " allocations, 1000 txs: " << large;
+}
+
 }  // namespace
 }  // namespace txconc

@@ -1,7 +1,11 @@
 // Tests for the full-node integration layer and the fork-choice tree.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+
 #include "account/contracts.h"
+#include "account/state_trie.h"
 #include "chain/fork.h"
 #include "chain/network.h"
 #include "chain/node.h"
@@ -43,12 +47,13 @@ std::vector<std::string> engine_names() {
 
 /// A node that executes received blocks with the named registry engine,
 /// or with its built-in sequential path for "".
-std::unique_ptr<AccountNode> make_node(const std::string& engine_name) {
-  if (engine_name.empty()) return std::make_unique<AccountNode>();
+std::unique_ptr<AccountNode> make_node(
+    const std::string& engine_name, const AccountNodeConfig& node_config = {}) {
+  if (engine_name.empty()) return std::make_unique<AccountNode>(node_config);
   std::shared_ptr<exec::BlockExecutor> engine =
       exec::make_executor(engine_name, 2);
   return std::make_unique<AccountNode>(
-      AccountNodeConfig{},
+      node_config,
       [engine](account::StateDb& state,
                std::span<const account::AccountTx> txs,
                const account::RuntimeConfig& config) {
@@ -372,6 +377,166 @@ TEST(IncrementalStateRoot, MatchesRebuildOnEveryEngineAcrossRejections) {
     }
     EXPECT_EQ(validator->ledger().height(), 12u);
   }
+}
+
+/// Counts the attempts an AccessRecorder sees, and those whose receipt
+/// came back without read or write sets.
+class CountingRecorder final : public account::AccessRecorder {
+ public:
+  void on_begin(const account::AccountTx&) const override {}
+  void on_complete(const account::AccountTx&,
+                   const account::Receipt& receipt) const override {
+    completed.fetch_add(1);
+    if (receipt.reads.empty() || receipt.writes.empty()) {
+      without_sets.fetch_add(1);
+    }
+  }
+
+  mutable std::atomic<std::uint64_t> completed{0};
+  mutable std::atomic<std::uint64_t> without_sets{0};
+};
+
+TEST(ValidatorTracking, RecorderStillSeesAccessSetsOnEveryEngine) {
+  // Validators execute without access tracking; an installed recorder
+  // forces it back on, so the audit layer still sees real sets, and no
+  // engine's result depends on the flag.
+  constexpr std::uint64_t kUsers = 12;
+  const Address sale = addr(900);
+  const auto genesis = [&](AccountNode& node) {
+    for (std::uint64_t u = 1; u <= kUsers; ++u) {
+      node.genesis_fund(addr(u), 10'000'000);
+    }
+    node.genesis_deploy(sale, account::contracts::crowdsale(addr(901)));
+  };
+  AccountNode producer;
+  genesis(producer);
+  Rng rng(5);
+  std::vector<std::uint64_t> nonces(kUsers + 1, 0);
+  std::vector<Block<account::AccountTx>> blocks;
+  for (std::uint64_t height = 0; height < 4; ++height) {
+    for (int i = 0; i < 12; ++i) {
+      const std::uint64_t from = 1 + rng.uniform(kUsers);
+      const Address to = rng.bernoulli(0.4) ? sale : addr(1 + rng.uniform(40));
+      account::AccountTx tx =
+          make_tx(addr(from), to, 1 + rng.uniform(100), nonces[from]++);
+      tx.gas_limit = 200'000;
+      producer.submit_transaction(std::move(tx));
+    }
+    blocks.push_back(producer.produce_block(height));
+  }
+  for (const std::string& engine : engine_names()) {
+    SCOPED_TRACE("engine '" + engine + "'");
+    CountingRecorder recorder;
+    AccountNodeConfig config;
+    config.runtime.recorder = &recorder;
+    const auto validator = make_node(engine, config);
+    genesis(*validator);
+    for (const auto& block : blocks) validator->receive_block(block);
+    EXPECT_GE(recorder.completed.load(), 48u);
+    EXPECT_EQ(recorder.without_sets.load(), 0u);
+    EXPECT_EQ(validator->state().digest(), producer.state().digest());
+  }
+}
+
+TEST(IncrementalStateRoot, MatchesRebuildOverHundredThousandAccounts) {
+  // A 10^5-account genesis and blocks of transfers, a fifth of them to
+  // fresh accounts. The validator's executor captures the dirty list its
+  // root will drain: exactly the accounts the block wrote (plus, at the
+  // first block, the genesis set no root has hashed yet).
+  constexpr std::uint64_t kAccounts = 100'000;
+  constexpr std::size_t kBlockTxs = 200;
+  std::shared_ptr<exec::BlockExecutor> engine =
+      exec::make_executor("sequential", 1);
+  std::vector<Address> dirty;
+  AccountNode producer;
+  AccountNode validator(
+      AccountNodeConfig{}, [&](account::StateDb& state,
+                               std::span<const account::AccountTx> txs,
+                               const account::RuntimeConfig& config) {
+        auto receipts = engine->execute_block(state, txs, config).receipts;
+        dirty = state.dirty_accounts();
+        return receipts;
+      });
+  std::set<Address> expected;
+  for (std::uint64_t a = 1; a <= kAccounts; ++a) {
+    producer.genesis_fund(addr(a), 10'000'000);
+    validator.genesis_fund(addr(a), 10'000'000);
+    expected.insert(addr(a));
+  }
+  Rng rng(23);
+  std::vector<std::uint64_t> nonces(kAccounts + 1, 0);
+  for (std::uint64_t height = 0; height < 3; ++height) {
+    SCOPED_TRACE("block " + std::to_string(height));
+    for (std::size_t i = 0; i < kBlockTxs; ++i) {
+      const std::uint64_t from = 1 + rng.uniform(kAccounts);
+      const Address to = rng.bernoulli(0.2)
+                             ? addr(10 * kAccounts + rng.uniform(kAccounts))
+                             : addr(1 + rng.uniform(kAccounts));
+      producer.submit_transaction(
+          make_tx(addr(from), to, 1 + rng.uniform(1000), nonces[from]++));
+      expected.insert(addr(from));
+      expected.insert(to);
+    }
+    const auto block = producer.produce_block(height);
+    ASSERT_EQ(block.transactions.size(), kBlockTxs);
+    validator.receive_block(block);
+    EXPECT_EQ(std::set<Address>(dirty.begin(), dirty.end()), expected);
+    EXPECT_EQ(dirty.size(), expected.size());  // each listed once
+    EXPECT_EQ(block.header.state_root,
+              account::build_state_trie(validator.state()).root());
+    EXPECT_EQ(validator.state().digest(), producer.state().digest());
+    expected.clear();
+  }
+  EXPECT_GT(validator.state().num_accounts(), kAccounts);
+}
+
+TEST(StateGauges, SetAfterEveryProducedAndReceivedBlock) {
+  // Tracing off, metrics on: the gauges still read the node's state size.
+  obs::Registry producer_metrics;
+  obs::Registry validator_metrics;
+  const obs::Scope producer_scope{nullptr, &producer_metrics};
+  const obs::Scope validator_scope{nullptr, &validator_metrics};
+  AccountNodeConfig producer_config;
+  producer_config.runtime.obs = &producer_scope;
+  AccountNodeConfig validator_config;
+  validator_config.runtime.obs = &validator_scope;
+  AccountNode producer(producer_config);
+  AccountNode validator(validator_config);
+  const Address sale = addr(900);
+  for (AccountNode* node : {&producer, &validator}) {
+    for (std::uint64_t u = 1; u <= 6; ++u) {
+      node->genesis_fund(addr(u), 10'000'000);
+    }
+    node->genesis_deploy(sale, account::contracts::crowdsale(addr(901)));
+  }
+  const auto expect_gauges = [](const obs::Registry& registry,
+                                const AccountNode& node,
+                                std::size_t contributors) {
+    const auto gauges = registry.gauge_values();
+    EXPECT_EQ(gauges.at(obs::names::kMetricNodeStateAccounts),
+              static_cast<double>(node.state().num_accounts()));
+    EXPECT_EQ(gauges.at(obs::names::kMetricNodeStateStorageSlots),
+              static_cast<double>(node.state().num_storage_slots()));
+    // One crowdsale slot per contributor.
+    EXPECT_EQ(node.state().num_storage_slots(), contributors);
+  };
+  for (std::uint64_t height = 0; height < 3; ++height) {
+    // Users 1..height+1 contribute (one new contributor per block), and
+    // user 6 pays a fresh account.
+    for (std::uint64_t u = 1; u <= height + 1; ++u) {
+      account::AccountTx tx = make_tx(addr(u), sale, 10, height + 1 - u);
+      tx.gas_limit = 200'000;
+      producer.submit_transaction(std::move(tx));
+    }
+    producer.submit_transaction(make_tx(addr(6), addr(100 + height), 1, height));
+    const auto block = producer.produce_block(height);
+    expect_gauges(producer_metrics, producer, height + 1);
+    validator.receive_block(block);
+    expect_gauges(validator_metrics, validator, height + 1);
+  }
+  EXPECT_EQ(validator_metrics.gauge_values().at(
+                obs::names::kMetricNodeStateAccounts),
+            6.0 + 3 + 2);  // users, fresh payees, sale, beneficiary
 }
 
 TEST_F(AccountNodeTest, GenesisAfterStartRejected) {
