@@ -1,8 +1,11 @@
 #include "account/state_trie.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+
+#include "common/sha256.h"
 
 namespace txconc::account {
 
@@ -159,15 +162,88 @@ Hash256 StateTrie::lifted(const Node& node, unsigned top) const {
   return h;
 }
 
-void StateTrie::rehash(std::uint32_t index, unsigned top) {
-  Node& node = nodes_[index];  // rehash never allocates: stable reference
-  if (!node.stale) return;
-  if (node.depth < kDepth) {
-    rehash(node.child[0], node.depth + 1u);
-    rehash(node.child[1], node.depth + 1u);
+void StateTrie::rehash() {
+  // Collect the stale nodes; they form a subtree hanging from the root.
+  // A stale leaf starts lifting from its digest; a stale branch joins its
+  // children at its own depth, once they have reached it.
+  joins_.clear();
+  active_.clear();
+  const auto collect = [this](std::uint32_t index, unsigned top) {
+    Node& node = nodes_[index];
+    if (!node.stale) return;
+    if (node.depth < kDepth) {
+      joins_.push_back({index, static_cast<std::uint8_t>(top)});
+      return;
+    }
+    node.hash = node.digest;
+    if (top == kDepth) {
+      node.stale = false;
+    } else {
+      active_.push_back({index, static_cast<std::uint8_t>(top)});
+    }
+  };
+  collect(root_, 0);
+  for (std::size_t i = 0; i < joins_.size(); ++i) {
+    const Node& branch = nodes_[joins_[i].node];
+    collect(branch.child[0], branch.depth + 1u);
+    collect(branch.child[1], branch.depth + 1u);
   }
-  node.hash = lifted(node, top);
-  node.stale = false;
+  std::sort(joins_.begin(), joins_.end(),
+            [this](const Pending& a, const Pending& b) {
+              return nodes_[a.node].depth > nodes_[b.node].depth;
+            });
+
+  // Walk the levels bottom-up. At each, the joins of the branches there
+  // and the lifts of the nodes passing through are independent, so they
+  // hash as one batch; a node whose hash reaches its top drops out.
+  std::size_t next_join = 0;
+  for (unsigned depth = kDepth; depth-- > 0;) {
+    for (; next_join < joins_.size() &&
+           nodes_[joins_[next_join].node].depth == depth;
+         ++next_join) {
+      active_.push_back(joins_[next_join]);
+    }
+    hash_level(depth);
+    last_update_hashes_ += active_.size();
+    std::size_t kept = 0;
+    for (const Pending& pending : active_) {
+      if (pending.top == depth) {
+        nodes_[pending.node].stale = false;
+      } else {
+        active_[kept++] = pending;
+      }
+    }
+    active_.resize(kept);
+  }
+}
+
+void StateTrie::hash_level(unsigned depth) {
+  // Chunks of messages on the stack, hashed in place.
+  constexpr std::size_t kChunk = 32;
+  std::array<std::uint8_t, 64 * kChunk> chunk;
+  const Hash256& empty = empty_hashes()[kDepth - depth - 1];
+  for (std::size_t start = 0; start < active_.size(); start += kChunk) {
+    const std::size_t n = std::min(kChunk, active_.size() - start);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Node& node = nodes_[active_[start + i].node];
+      const Hash256* left = &node.hash;  // lift through an empty right
+      const Hash256* right = &empty;
+      if (node.depth == depth) {  // a branch joins its children
+        left = &nodes_[node.child[0]].hash;
+        right = &nodes_[node.child[1]].hash;
+      } else if (bit(node.key, depth) != 0) {  // lift through an empty left
+        left = &empty;
+        right = &node.hash;
+      }
+      std::memcpy(chunk.data() + 64 * i, left->bytes.data(), 32);
+      std::memcpy(chunk.data() + 64 * i + 32, right->bytes.data(), 32);
+    }
+    Sha256::hash64_batch(chunk.data(), chunk.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(nodes_[active_[start + i].node].hash.bytes.data(),
+                  chunk.data() + 32 * i, 32);
+    }
+  }
 }
 
 void StateTrie::update(const Address& addr, const Hash256& leaf_digest) {
@@ -183,7 +259,8 @@ void StateTrie::update(std::span<const Leaf> leaves) {
       set(key_of(leaf.address), leaf.digest);
     }
   }
-  if (root_ != kNone) rehash(root_, 0);
+  last_update_hashes_ = 0;
+  if (root_ != kNone) rehash();
 }
 
 void StateTrie::erase(const Address& addr) { update(addr, kEmptyLeaf); }

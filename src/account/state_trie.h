@@ -8,7 +8,9 @@
 // only at leaves and branch points, so its size is O(accounts), and the
 // empty runs of an edge are folded into the hash cached at the edge's top
 // (DESIGN.md §18). The root is a function of the leaf set alone: it equals
-// that of the uncompressed kDepth-level trie.
+// that of the uncompressed kDepth-level trie. An update re-hashes its stale
+// nodes level by level, each level's independent hashes as one batch
+// (DESIGN.md §22).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,9 @@ class StateTrie {
   /// touched once: the upper levels shared by the batch hash once, not
   /// once per leaf.
   void update(std::span<const Leaf> leaves);
+
+  /// The 64-byte hashes the last update spent re-hashing its stale nodes.
+  std::size_t last_update_hashes() const { return last_update_hashes_; }
 
   /// Remove an address (resets its leaf to the empty marker).
   void erase(const Address& addr);
@@ -96,18 +101,31 @@ class StateTrie {
   std::uint32_t new_node(Key key, unsigned depth);
   void mark_path_stale();
 
+  /// A stale node on its way up, with the depth its hash is lifted to.
+  struct Pending {
+    std::uint32_t node;
+    std::uint8_t top;
+  };
+
   /// Structural edits; they mark the touched path stale, rehash() fixes it.
   void set(Key key, const Hash256& digest);
   void remove(Key key);
-  void rehash(std::uint32_t index, unsigned top);
-  /// The node's own subtree hash lifted from its depth up to `top`.
+  /// Re-hash every stale node, one level per pass from the leaves up.
+  void rehash();
+  /// One level's joins and lifts (the nodes in active_), as batches.
+  void hash_level(unsigned depth);
+  /// The node's own subtree hash lifted from its depth up to `top`, one
+  /// hash at a time: the reference prove() uses.
   Hash256 lifted(const Node& node, unsigned top) const;
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_;  // indices of released nodes
   std::vector<std::uint32_t> path_;  // scratch: the last edit's ancestors
+  std::vector<Pending> joins_;       // scratch: stale branches, deepest first
+  std::vector<Pending> active_;      // scratch: nodes hashing at this level
   std::uint32_t root_ = kNone;
   std::size_t size_ = 0;
+  std::size_t last_update_hashes_ = 0;
 };
 
 /// Build the full state trie of a StateDb — O(accounts). The reference

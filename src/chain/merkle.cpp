@@ -1,5 +1,8 @@
 #include "chain/merkle.h"
 
+#include <array>
+#include <cstring>
+
 #include "common/error.h"
 #include "common/sha256.h"
 
@@ -7,22 +10,20 @@ namespace txconc::chain {
 
 namespace {
 
-Hash256 hash_pair(const Hash256& left, const Hash256& right) {
-  Sha256 h;
-  h.update(left.bytes);
-  h.update(right.bytes);
-  return Hash256{Sha256::hash(h.finalize())};
-}
+static_assert(sizeof(Hash256) == 32, "a level must be packed digests");
 
-std::vector<Hash256> next_level(const std::vector<Hash256>& level) {
-  std::vector<Hash256> out;
-  out.reserve((level.size() + 1) / 2);
-  for (std::size_t i = 0; i < level.size(); i += 2) {
-    const Hash256& left = level[i];
-    const Hash256& right = (i + 1 < level.size()) ? level[i + 1] : level[i];
-    out.push_back(hash_pair(left, right));
+/// Hashes the pairs of the n-node level at `level` into the (n + 1) / 2
+/// nodes at `out`; an odd last node pairs with itself. `out` may equal
+/// `level`: the level then reduces in place.
+void hash_level(const Hash256* level, std::size_t n, Hash256* out) {
+  Sha256::hash64_twice_batch(reinterpret_cast<const std::uint8_t*>(level),
+                             reinterpret_cast<std::uint8_t*>(out), n / 2);
+  if (n % 2 == 1) {
+    std::array<std::uint8_t, 64> pair;
+    std::memcpy(pair.data(), level[n - 1].bytes.data(), 32);
+    std::memcpy(pair.data() + 32, level[n - 1].bytes.data(), 32);
+    Sha256::hash64_twice_batch(pair.data(), out[n / 2].bytes.data(), 1);
   }
-  return out;
 }
 
 }  // namespace
@@ -32,9 +33,7 @@ Hash256 merkle_root(std::span<const Hash256> leaves) {
   // One copy, reduced in place: level n's pairs overwrite its first half.
   std::vector<Hash256> level(leaves.begin(), leaves.end());
   for (std::size_t n = level.size(); n > 1; n = (n + 1) / 2) {
-    for (std::size_t i = 0; i < n; i += 2) {
-      level[i / 2] = hash_pair(level[i], i + 1 < n ? level[i + 1] : level[i]);
-    }
+    hash_level(level.data(), n, level.data());
   }
   return level[0];
 }
@@ -47,7 +46,10 @@ MerkleTree::MerkleTree(std::span<const Hash256> leaves)
     num_leaves_ = 0;
   }
   while (levels_.back().size() > 1) {
-    levels_.push_back(next_level(levels_.back()));
+    const std::size_t n = levels_.back().size();
+    std::vector<Hash256> next((n + 1) / 2);
+    hash_level(levels_.back().data(), n, next.data());
+    levels_.push_back(std::move(next));
   }
 }
 
@@ -75,7 +77,11 @@ bool MerkleTree::verify(const Hash256& leaf, const MerkleProof& proof,
   Hash256 acc = leaf;
   std::size_t pos = proof.index;
   for (const Hash256& sibling : proof.siblings) {
-    acc = (pos % 2 == 0) ? hash_pair(acc, sibling) : hash_pair(sibling, acc);
+    std::array<std::uint8_t, 64> pair;
+    std::memcpy(pair.data() + (pos % 2 == 0 ? 0 : 32), acc.bytes.data(), 32);
+    std::memcpy(pair.data() + (pos % 2 == 0 ? 32 : 0), sibling.bytes.data(),
+                32);
+    Sha256::hash64_twice_batch(pair.data(), acc.bytes.data(), 1);
     pos /= 2;
   }
   return acc == root;

@@ -125,6 +125,14 @@ Hash256 AccountNode::state_root() {
   return trie_.root();
 }
 
+void AccountNode::observe_state_root(obs::Registry& registry) const {
+  if (!config_.commit_state_root) return;
+  registry.histogram(obs::names::kMetricNodeStateRootLeaves)
+      .observe(static_cast<double>(dirty_leaves_.size()));
+  registry.histogram(obs::names::kMetricNodeStateRootHashes)
+      .observe(static_cast<double>(trie_.last_update_hashes()));
+}
+
 Block<account::AccountTx> AccountNode::produce_block(
     std::uint64_t timestamp, obs::TraceContext* trace_out) {
   const MutexLock lock(mu_);
@@ -231,6 +239,7 @@ Block<account::AccountTx> AccountNode::produce_block(
   Block<account::AccountTx> block = sealed.block();
   ledger_.append(std::move(sealed));
   if (obs::Registry* const registry = node_registry(config_)) {
+    observe_state_root(*registry);
     registry->counter(obs::names::kMetricNodeBlocksProduced).add(1);
     registry->counter(obs::names::kMetricNodeTxsIncluded).add(block.transactions.size());
     registry->histogram(obs::names::kMetricNodeProduceUs).observe(elapsed_us(start));
@@ -308,6 +317,7 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     ledger_.append(std::move(checked));
   }
   if (obs::Registry* const registry = node_registry(config_)) {
+    observe_state_root(*registry);
     registry->counter(obs::names::kMetricNodeBlocksReceived).add(1);
     registry->counter(obs::names::kMetricNodeTxsExecuted).add(block.transactions.size());
     registry->histogram(obs::names::kMetricNodeReceiveUs).observe(elapsed_us(start));

@@ -18,6 +18,7 @@
 #include "obs/context.h"
 
 namespace txconc::obs {
+class Registry;        // metrics sink, see obs/metrics.h
 class SnapshotWriter;  // periodic metrics snapshots, see obs/snapshot.h
 }
 
@@ -135,6 +136,10 @@ class AccountNode {
   /// Root of the current state: re-hashes the accounts written since the
   /// last call into trie_, then reads its root.
   Hash256 state_root() REQUIRES(mu_);
+
+  /// Observes the last root's work, its dirty leaves and the trie's
+  /// hashes, into `registry`; nothing when the node commits no root.
+  void observe_state_root(obs::Registry& registry) const REQUIRES(mu_);
 
   mutable Mutex mu_;
   AccountNodeConfig config_;   // immutable after construction

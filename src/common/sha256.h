@@ -6,12 +6,17 @@
 // Two compression kernels compute identical digests: a portable one, and
 // on x86-64 CPUs with the SHA extensions a SHA-NI one. The hasher picks
 // the fastest the CPU supports, once, at first use (DESIGN.md §19).
+// Fixed-shape commitment nodes (trie joins and lifts, merkle pairs) hash
+// as batches of 64-byte messages, two at a time on SHA-NI (DESIGN.md §22).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+
+#include "common/hot_path.h"
 
 namespace txconc {
 
@@ -38,8 +43,22 @@ class Sha256 {
   /// Hashes with `kernel`, so tests can run each kernel on the same input.
   explicit Sha256(Kernel kernel);
 
-  /// Absorb more input.
-  void update(std::span<const std::uint8_t> data);
+  /// Absorb more input. Input that still fits the block buffer is only
+  /// copied there, inline, so a stream of small fields costs stores.
+  void update(std::span<const std::uint8_t> data) {
+    // The first test is implied by the second; it bounds the copy for the
+    // compiler's array-bounds analysis.
+    if (data.size() < 64 && buffer_used_ + data.size() < 64) {
+      // An empty span may carry a null pointer, which memcpy must not see.
+      if (!data.empty()) {
+        std::memcpy(buffer_.data() + buffer_used_, data.data(), data.size());
+      }
+      buffer_used_ += data.size();
+      bit_length_ += static_cast<std::uint64_t>(data.size()) * 8;
+      return;
+    }
+    absorb(data);
+  }
 
   /// Pad, finish, and return the digest.
   Digest finalize();
@@ -50,6 +69,24 @@ class Sha256 {
   /// Double SHA-256 (Bitcoin-style txid construction).
   static Digest hash_twice(std::span<const std::uint8_t> data);
 
+  /// SHA-256 of each of `n` 64-byte messages: the 32 bytes at
+  /// out + 32 * i become the digest of the 64 bytes at in + 64 * i. `out`
+  /// may equal `in`, so a tree level hashes in place: each output
+  /// overwrites only input already read.
+  TXCONC_HOT static void hash64_batch(const std::uint8_t* in,
+                                      std::uint8_t* out, std::size_t n);
+  /// hash64_batch on `kernel`, so tests can run each kernel's batch path.
+  TXCONC_HOT static void hash64_batch(Kernel kernel, const std::uint8_t* in,
+                                      std::uint8_t* out, std::size_t n);
+
+  /// hash64_batch, with each digest hashed once more (hash_twice of each
+  /// message). Same layout and aliasing rule.
+  TXCONC_HOT static void hash64_twice_batch(const std::uint8_t* in,
+                                            std::uint8_t* out, std::size_t n);
+  TXCONC_HOT static void hash64_twice_batch(Kernel kernel,
+                                            const std::uint8_t* in,
+                                            std::uint8_t* out, std::size_t n);
+
   /// The portable kernel: the reference the tests compare against, and
   /// the only kernel on CPUs without the SHA extensions.
   static void portable_kernel(std::uint32_t* state, const std::uint8_t* data,
@@ -59,7 +96,18 @@ class Sha256 {
   /// SSSE3 extensions (always nullptr off x86-64).
   static Kernel hardware_kernel();
 
+  /// W[t] + K[t], t = 0..63, of one 64-byte block: the message schedule
+  /// plus round constants, as the portable kernel derives it.
+  static std::array<std::uint32_t, 64> schedule(const std::uint8_t* block);
+
+  /// The same for the padding block every 64-byte message ends with,
+  /// computed at compile time; the SHA-NI batch path runs it as is.
+  static const std::array<std::uint32_t, 64>& padding_schedule();
+
  private:
+  /// update() for input that fills the block buffer.
+  void absorb(std::span<const std::uint8_t> data);
+
   Kernel kernel_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;

@@ -136,6 +136,13 @@ inline constexpr const char* kMetricNodeReceiveUs = "node.receive_us";
 inline constexpr const char* kMetricNodeStateAccounts = "node.state_accounts";
 inline constexpr const char* kMetricNodeStateStorageSlots =
     "node.state_storage_slots";
+// Histograms observed after every produced and received state root
+// (DESIGN.md §22): the dirty leaves the root re-hashed, and the 64-byte
+// hashes the trie spent on them.
+inline constexpr const char* kMetricNodeStateRootLeaves =
+    "node.state_root_leaves";
+inline constexpr const char* kMetricNodeStateRootHashes =
+    "node.state_root_hashes";
 inline constexpr const char* kMetricPbftRounds = "pbft.rounds";
 inline constexpr const char* kMetricPbftMessages = "pbft.messages";
 inline constexpr const char* kMetricPbftViewChanges = "pbft.view_changes";

@@ -231,6 +231,48 @@ TEST_P(Sha256Kernel, MatchesPortableOnEveryLengthAndRandomLengths) {
   }
 }
 
+// The batch paths against the one-shot hasher: random, all-zero and
+// all-0xff messages, batch sizes around the two-lane pairing, into a
+// separate buffer and in place.
+TEST_P(Sha256Kernel, BatchesMatchOneShotHashes) {
+  Rng rng(29);
+  const Sha256::Kernel kernel = GetParam().kernel;
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 33u}) {
+    for (const int fill : {-1, 0x00, 0xff}) {
+      const Bytes in =
+          fill < 0 ? random_bytes(rng, 64 * n)
+                   : Bytes(64 * n, static_cast<std::uint8_t>(fill));
+      Bytes once(32 * n);
+      Bytes twice(32 * n);
+      Sha256::hash64_batch(kernel, in.data(), once.data(), n);
+      Sha256::hash64_twice_batch(kernel, in.data(), twice.data(), n);
+      Bytes once_in_place = in;
+      Bytes twice_in_place = in;
+      Sha256::hash64_batch(kernel, once_in_place.data(), once_in_place.data(),
+                           n);
+      Sha256::hash64_twice_batch(kernel, twice_in_place.data(),
+                                 twice_in_place.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::span<const std::uint8_t> message(in.data() + 64 * i, 64);
+        const Sha256::Digest want_once = Sha256::hash(message);
+        const Sha256::Digest want_twice = Sha256::hash_twice(message);
+        const auto digest_at = [i](const Bytes& out) {
+          Sha256::Digest d;
+          std::copy_n(out.begin() + static_cast<std::ptrdiff_t>(32 * i), 32,
+                      d.begin());
+          return d;
+        };
+        EXPECT_EQ(digest_at(once), want_once) << "n=" << n << " i=" << i;
+        EXPECT_EQ(digest_at(twice), want_twice) << "n=" << n << " i=" << i;
+        EXPECT_EQ(digest_at(once_in_place), want_once)
+            << "in place, n=" << n << " i=" << i;
+        EXPECT_EQ(digest_at(twice_in_place), want_twice)
+            << "in place, n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kernels, Sha256Kernel,
     ::testing::Values(NamedKernel{"portable", &Sha256::portable_kernel},
@@ -238,6 +280,16 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NamedKernel>& kernel_info) {
       return kernel_info.param.name;
     });
+
+// The SHA-NI batch path runs the padding block of a 64-byte message from
+// a compile-time schedule; it must be the one the portable kernel derives
+// from the padding bytes.
+TEST(Sha256, PaddingScheduleIsThePortableDerivation) {
+  std::array<std::uint8_t, 64> padding{};
+  padding[0] = 0x80;  // terminator
+  padding[62] = 0x02;  // bit length 512, big-endian
+  EXPECT_EQ(Sha256::padding_schedule(), Sha256::schedule(padding.data()));
+}
 
 // --------------------------------------------------------------- identifiers
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "account/runtime.h"
+#include "account/state_trie.h"
 #include "account/state.h"
 #include "account/types.h"
 #include "chain/block.h"
@@ -445,6 +446,32 @@ TEST(MerkleHotPath, TransactionsRootAllocatesOncePerBlock) {
   EXPECT_EQ(root, warm);
   EXPECT_LE(spent, 4u) << "transactions_root over 1000 transactions made "
                        << spent << " allocations";
+}
+
+// A warm trie re-hashes a batch level by level through fixed-size chunks
+// on the stack and reused scratch vectors: a 200-leaf update of a
+// 1,000-account trie allocates nothing.
+TEST(StateRootHotPath, WarmBatchUpdateAllocatesNothing) {
+  account::StateTrie trie;
+  std::vector<account::StateTrie::Leaf> leaves;
+  for (std::uint64_t s = 1; s <= 1000; ++s) {
+    leaves.push_back({addr(s), Hash256::from_seed(s)});
+  }
+  trie.update(leaves);
+  std::vector<account::StateTrie::Leaf> batch;
+  for (std::uint64_t s = 1; s <= 200; ++s) {
+    batch.push_back({addr(5 * s), Hash256::from_seed(10'000 + s)});
+  }
+  trie.update(batch);  // warms the scratch for a batch of this shape
+  for (account::StateTrie::Leaf& leaf : batch) {
+    leaf.digest = Hash256::from_seed(leaf.digest.low64() + 1);
+  }
+  const std::uint64_t before = allocations();
+  trie.update(batch);
+  const std::uint64_t spent = allocations() - before;
+  EXPECT_EQ(spent, 0u) << "a warm 200-leaf update made " << spent
+                       << " allocations";
+  EXPECT_GT(trie.last_update_hashes(), 200u);
 }
 
 // ------------------------------------------------------ block production

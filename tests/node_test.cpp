@@ -539,6 +539,79 @@ TEST(StateGauges, SetAfterEveryProducedAndReceivedBlock) {
             6.0 + 3 + 2);  // users, fresh payees, sale, beneficiary
 }
 
+/// Hashes a re-hash of exactly these addresses' leaves costs: one per
+/// distinct key prefix of length 0..47 on their paths, the trie keying on
+/// the first 48 bits of SHA-256(address).
+std::size_t path_union_hashes(const std::vector<Address>& addrs) {
+  const unsigned depth = account::StateTrie::kDepth;
+  std::set<std::pair<unsigned, std::uint64_t>> prefixes;
+  for (const Address& a : addrs) {
+    const Hash256 h = Hash256::digest_of(a.bytes);
+    std::uint64_t key = 0;
+    for (unsigned i = 0; i < depth / 8; ++i) key = (key << 8) | h.bytes[i];
+    for (unsigned d = 0; d < depth; ++d) {
+      prefixes.insert({d, key >> (depth - d)});
+    }
+  }
+  return prefixes.size();
+}
+
+TEST(StateRootMetrics, LeavesAndHashesObservedPerRoot) {
+  // Tracing off, metrics on: both nodes observe every root's work.
+  obs::Registry producer_metrics;
+  obs::Registry validator_metrics;
+  const obs::Scope producer_scope{nullptr, &producer_metrics};
+  const obs::Scope validator_scope{nullptr, &validator_metrics};
+  AccountNodeConfig producer_config;
+  producer_config.runtime.obs = &producer_scope;
+  AccountNodeConfig validator_config;
+  validator_config.runtime.obs = &validator_scope;
+  AccountNode producer(producer_config);
+  AccountNode validator(validator_config);
+  std::vector<Address> genesis;
+  for (std::uint64_t u = 1; u <= 40; ++u) genesis.push_back(addr(u));
+  for (AccountNode* node : {&producer, &validator}) {
+    for (const Address& a : genesis) node->genesis_fund(a, 10'000'000);
+  }
+  // Per root: {leaves, hashes}, read back as differences of the sums.
+  std::vector<std::pair<double, double>> seen;
+  const auto expect_root = [&](obs::Registry& registry, std::size_t roots,
+                               std::size_t leaves, std::size_t hashes) {
+    obs::Histogram& leaf_hist =
+        registry.histogram(obs::names::kMetricNodeStateRootLeaves);
+    obs::Histogram& hash_hist =
+        registry.histogram(obs::names::kMetricNodeStateRootHashes);
+    EXPECT_EQ(leaf_hist.count(), roots);
+    EXPECT_EQ(hash_hist.count(), roots);
+    const double prior_leaves = roots > 1 ? seen[roots - 2].first : 0;
+    const double prior_hashes = roots > 1 ? seen[roots - 2].second : 0;
+    EXPECT_EQ(leaf_hist.sum() - prior_leaves, static_cast<double>(leaves));
+    EXPECT_EQ(hash_hist.sum() - prior_hashes, static_cast<double>(hashes));
+  };
+
+  // The first root syncs every genesis account into an empty trie: each
+  // node on the union of their paths hashes once.
+  producer.submit_transaction(make_tx(addr(1), addr(2), 1, 0));
+  const auto first = producer.produce_block(1);
+  const std::size_t first_hashes = path_union_hashes(genesis);
+  expect_root(producer_metrics, 1, genesis.size(), first_hashes);
+  validator.receive_block(first);
+  expect_root(validator_metrics, 1, genesis.size(), first_hashes);
+  seen.emplace_back(genesis.size(), first_hashes);
+
+  // A block that only rewrites existing accounts re-hashes the union of
+  // its dirty leaves' paths.
+  producer.submit_transaction(make_tx(addr(3), addr(4), 1, 0));
+  producer.submit_transaction(make_tx(addr(5), addr(6), 1, 0));
+  producer.submit_transaction(make_tx(addr(7), addr(3), 1, 0));
+  const auto second = producer.produce_block(2);
+  const std::vector<Address> dirty = {addr(3), addr(4), addr(5), addr(6),
+                                      addr(7)};
+  expect_root(producer_metrics, 2, dirty.size(), path_union_hashes(dirty));
+  validator.receive_block(second);
+  expect_root(validator_metrics, 2, dirty.size(), path_union_hashes(dirty));
+}
+
 TEST_F(AccountNodeTest, GenesisAfterStartRejected) {
   node_.submit_transaction(make_tx(addr(1), addr(3), 1, 0));
   node_.produce_block(1);

@@ -1,9 +1,14 @@
 // Tests for the authenticated state trie and its node integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
 #include "account/state.h"
 #include "account/state_trie.h"
 #include "common/rng.h"
+#include "common/sha256.h"
 
 namespace txconc::account {
 namespace {
@@ -184,6 +189,115 @@ TEST(StateTrie, BatchUpdateMatchesSingleUpdates) {
   batched.update(leaves);
   EXPECT_EQ(batched.root(), StateTrie().root());
   EXPECT_EQ(batched.size(), 0u);
+}
+
+// ------------------------------------------------ batched re-hash checks
+
+/// The trie's key: the first 48 bits of SHA-256(address).
+std::uint64_t key_of(const Address& a) {
+  const Sha256::Digest h = Sha256::hash(a.bytes);
+  std::uint64_t key = 0;
+  for (unsigned i = 0; i < StateTrie::kDepth / 8; ++i) key = (key << 8) | h[i];
+  return key;
+}
+
+Hash256 plain_combine(const Hash256& left, const Hash256& right) {
+  Sha256 h;
+  h.update(left.bytes);
+  h.update(right.bytes);
+  return Hash256{h.finalize()};
+}
+
+using KeyedLeaf = std::pair<std::uint64_t, Hash256>;
+
+/// Hash of the uncompressed subtree at `depth` over `leaves` (key-sorted,
+/// all sharing the subtree's prefix): every one of the 48 levels hashed
+/// node by node on a plain Sha256 object, empty subtrees included.
+Hash256 reference_subtree(std::span<const KeyedLeaf> leaves, unsigned depth) {
+  if (leaves.empty()) {
+    // empty[d]: the empty subtree at depth d.
+    static const std::vector<Hash256> empty = [] {
+      std::vector<Hash256> e(StateTrie::kDepth + 1);
+      for (unsigned d = StateTrie::kDepth; d-- > 0;) {
+        e[d] = plain_combine(e[d + 1], e[d + 1]);
+      }
+      return e;
+    }();
+    return empty[depth];
+  }
+  if (depth == StateTrie::kDepth) return leaves.front().second;
+  // Keys sort by their bits, so the right subtree is a suffix.
+  std::size_t split = 0;
+  while (split < leaves.size() &&
+         ((leaves[split].first >> (StateTrie::kDepth - 1 - depth)) & 1) == 0) {
+    ++split;
+  }
+  return plain_combine(reference_subtree(leaves.first(split), depth + 1),
+                       reference_subtree(leaves.subspan(split), depth + 1));
+}
+
+Hash256 reference_root(const std::map<std::uint64_t, Hash256>& contents) {
+  std::vector<KeyedLeaf> leaves;
+  for (const auto& [seed, value] : contents) {
+    leaves.emplace_back(key_of(addr(seed)), value);
+  }
+  std::sort(leaves.begin(), leaves.end());
+  return reference_subtree(leaves, 0);
+}
+
+// Seeded batches of inserts, updates and erasures (zero digests, absent
+// addresses included). After each batch every touched address proves,
+// through the single-lane lifted() path, against the batched root, and
+// while the trie is small its root equals the uncompressed reference.
+TEST(StateTrie, BatchedRehashMatchesProofsAndUncompressedReference) {
+  Rng rng(101);
+  StateTrie trie;
+  std::map<std::uint64_t, Hash256> contents;
+  std::size_t reference_checks = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<StateTrie::Leaf> batch;
+    std::vector<std::uint64_t> touched;
+    const std::size_t size = 1 + rng.uniform(48);
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::uint64_t seed = rng.uniform(90);
+      const Hash256 value =
+          rng.bernoulli(0.3) ? Hash256{} : digest(rng.next_u64());
+      batch.push_back({addr(seed), value});
+      touched.push_back(seed);
+      // Later leaves of a batch override earlier ones, as in update().
+      if (value.is_zero()) {
+        contents.erase(seed);
+      } else {
+        contents[seed] = value;
+      }
+    }
+    trie.update(batch);
+    ASSERT_EQ(trie.size(), contents.size()) << "round " << round;
+    const Hash256 root = trie.root();
+    for (const std::uint64_t seed : touched) {
+      const StateTrie::Proof proof = trie.prove(addr(seed));
+      const auto it = contents.find(seed);
+      EXPECT_EQ(proof.leaf, it == contents.end() ? Hash256{} : it->second);
+      EXPECT_TRUE(StateTrie::verify(proof, root))
+          << "round " << round << " seed " << seed;
+    }
+    if (contents.size() <= 64) {
+      EXPECT_EQ(root, reference_root(contents)) << "round " << round;
+      ++reference_checks;
+    }
+  }
+  EXPECT_GT(reference_checks, 10u);
+}
+
+TEST(StateTrie, SmallTriesMatchUncompressedReference) {
+  StateTrie trie;
+  std::map<std::uint64_t, Hash256> contents;
+  EXPECT_EQ(trie.root(), reference_root(contents));
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    trie.update(addr(seed), digest(seed));
+    contents[seed] = digest(seed);
+    ASSERT_EQ(trie.root(), reference_root(contents)) << "leaves " << seed;
+  }
 }
 
 TEST(StateTrie, BuildFromStateDbTracksState) {
