@@ -147,6 +147,11 @@ struct NamedKernel {
   Sha256::Kernel kernel;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, which
+// hold heap and code addresses and so change from run to run; the
+// discovered ctest names would then change with every build.
+void PrintTo(const NamedKernel& named, std::ostream* os) { *os << named.name; }
+
 class Sha256Kernel : public ::testing::TestWithParam<NamedKernel> {
  protected:
   void SetUp() override {
