@@ -419,15 +419,6 @@ void write_bench_exec_json() {
   std::vector<Row> rows;
   const double inject = injected_slowdown_factor();
 
-  // Cells deliberately not measured, recorded structurally so consumers
-  // (and scripts/bench_gate) can tell an exclusion from a missing row.
-  struct Exclusion {
-    std::string executor;
-    std::size_t block_txs;
-    std::string reason;
-  };
-  std::vector<Exclusion> excluded;
-
   for (const Cell& cell : cells) {
     // The 10k+ cells cost ~100x a base-block rep; 3 reps keep the CI
     // bench-large lane inside its budget while the gate's ratios stay
@@ -437,18 +428,6 @@ void write_bench_exec_json() {
     const int warmup = cell.block_txs >= 10'000 ? 1 : bench_warmup();
     double sequential_wall = 0.0;
     for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-      if (cell.block_txs >= 10'000 && spec.name == "occ") {
-        // Concatenated late-era blocks run ~70% conflicted; occ's
-        // in-order validation serializes such blocks into O(conflicts)
-        // waves (~35x sequential wall at 1k txs already), so 10k+ cells
-        // would take minutes per rep. Its scaling story is captured by
-        // the 124/1000 cells; don't leave the gap unlogged.
-        std::cout << "skipping occ at block_txs=" << cell.block_txs
-                  << " (wave serialization: see the 1000-tx cells)\n";
-        excluded.push_back({spec.name, cell.block_txs,
-                            "wave serialization: see the 1000-tx cells"});
-        continue;
-      }
       const std::vector<unsigned> thread_grid =
           spec.parallel ? std::vector<unsigned>{1, 2, 4, 8}
                         : std::vector<unsigned>{1};
@@ -491,13 +470,6 @@ void write_bench_exec_json() {
       << "  \"block_sizes\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     out << (i > 0 ? ", " : "") << cells[i].block_txs;
-  }
-  out << "],\n"
-      << "  \"excluded_engines\": [";
-  for (std::size_t i = 0; i < excluded.size(); ++i) {
-    out << (i > 0 ? ", " : "") << "{\"executor\": \"" << excluded[i].executor
-        << "\", \"block_txs\": " << excluded[i].block_txs
-        << ", \"reason\": \"" << excluded[i].reason << "\"}";
   }
   out << "],\n"
       << "  \"hw_cores\": " << std::thread::hardware_concurrency() << ",\n"
@@ -586,10 +558,7 @@ void write_bench_contention_json() {
       intent_c = intent.single_rate();
       intent_l = intent.group_rate();
     }
-    // The 1k cells pay the occ wave serialization twice (on/off); cap
-    // their reps like the exec emitter caps its 10k cells.
-    const int reps =
-        cell.block_txs >= 1000 ? std::min(bench_reps(), 5) : bench_reps();
+    const int reps = bench_reps();
     const int warmup = bench_warmup();
     for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
       const std::vector<unsigned> thread_grid =
@@ -767,8 +736,8 @@ void print_phase_breakdown(std::span<const account::AccountTx> block,
           core::SpeculativeModel::oracle_execution_time(x, c_hat, n, 1.0) *
           unit_us;
     } else {
-      // Group/OCC engines: the model currency is the engine's own
-      // unit-cost critical path (simulated_units).
+      // Group and block-stm engines: the model currency is the engine's
+      // own unit-cost critical path (simulated_units).
       model_wall_us = r.simulated_units * unit_us;
     }
     const bool two_phase =
@@ -919,11 +888,6 @@ void write_bench_profile_json() {
   std::vector<Row> rows;
   std::size_t violations = 0;
   obs::Tracer& tracer = obs::Tracer::global();
-  // occ's wave serialization emits an attempt span per re-execution
-  // (~35k executions per 1k-tx run); two traced runs per cell overflow
-  // the default 64k-event ring on the slot-0 caller thread, and a
-  // wrapped ring drops 'B' events, which makes the trace unanalyzable.
-  tracer.set_ring_capacity(1 << 18);
 
   for (const Cell& cell : cells) {
     for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
@@ -954,7 +918,7 @@ void write_bench_profile_json() {
         std::string violation;
         if (tracer.dropped() > 0) {
           row.error = "ring wrapped: " + std::to_string(tracer.dropped()) +
-                      " events dropped (raise set_ring_capacity)";
+                      " events dropped";
         } else if (!result.ok || result.blocks.empty()) {
           row.error = result.ok ? "no execute_block profiled" : result.error;
         } else {
@@ -986,7 +950,6 @@ void write_bench_profile_json() {
     }
   }
   tracer.clear();  // keep the profile cells out of any exported trace
-  tracer.set_ring_capacity(1 << 16);  // back to the default for the smoke
 
   const char* out_path = std::getenv("TXCONC_BENCH_PROFILE_OUT");
   if (out_path == nullptr) out_path = "BENCH_profile.json";

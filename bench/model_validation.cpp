@@ -22,7 +22,6 @@ struct Row {
   double group_bound = 0.0;  // eq. (2) with the engine's predicted l
   double group_engine = 0.0; // LPT-scheduled component executor
   double group_list = 0.0;   // FIFO list scheduling ablation
-  double occ_engine = 0.0;   // wave-based optimistic executor
   std::size_t blocks = 0;
 };
 
@@ -42,7 +41,7 @@ int main() {
 
   analysis::TextTable table({"cores", "spec eq.(1)", "spec engine",
                              "oracle engine", "group eq.(2)", "group LPT",
-                             "group list", "OCC"});
+                             "group list"});
 
   for (unsigned n : {2u, 4u, 8u, 16u, 64u}) {
     std::vector<std::unique_ptr<exec::BlockExecutor>> engines;
@@ -50,7 +49,6 @@ int main() {
     engines.push_back(exec::make_oracle_executor(n));
     engines.push_back(exec::make_group_executor(n, /*use_lpt=*/true));
     engines.push_back(exec::make_group_executor(n, /*use_lpt=*/false));
-    engines.push_back(exec::make_occ_executor(n));
 
     Row row;
     for (auto& engine : engines) {
@@ -86,8 +84,6 @@ int main() {
         row.group_bound = mean_model;
       } else if (engine->name() == "group-list") {
         row.group_list = mean_speedup;
-      } else {
-        row.occ_engine = mean_speedup;
       }
       row.blocks = counted;
     }
@@ -97,8 +93,7 @@ int main() {
                analysis::fmt_double(row.oracle_engine, 2),
                analysis::fmt_double(row.group_bound, 2),
                analysis::fmt_double(row.group_engine, 2),
-               analysis::fmt_double(row.group_list, 2),
-               analysis::fmt_double(row.occ_engine, 2)});
+               analysis::fmt_double(row.group_list, 2)});
   }
   std::cout << "mean per-block unit-cost speed-ups over " << kBlocks
             << " late-history Ethereum blocks:\n"
@@ -114,10 +109,6 @@ int main() {
          "  * list scheduling trails LPT, quantifying the cost of naive\n"
          "    scheduling (the multiprocessor-scheduling concern of V-B);\n"
          "  * the oracle engine beats blind speculation because conflicted\n"
-         "    transactions execute once, not twice;\n"
-         "  * OCC (wave-based optimistic retry, Block-STM style) sits\n"
-         "    between speculation and group scheduling: retries run in\n"
-         "    parallel, so the conflicted tail costs O(dependency depth)\n"
-         "    waves rather than one long sequential bin.\n";
+         "    transactions execute once, not twice.\n";
   return 0;
 }

@@ -36,7 +36,7 @@ namespace {
 
 // Registry names, comma-joined, for the usage and error messages — the
 // engine list below is registry-driven, so this is always current
-// (speculative, speculative-fww, oracle, group, occ, block-stm, ...).
+// (speculative, speculative-fww, oracle, group, block-stm, ...).
 std::string registry_names() {
   std::string names;
   for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
@@ -165,16 +165,14 @@ int main(int argc, char** argv) {
   std::cout
       << "notes:\n"
          "  * \"sequential txs\" is the conflicted bin (speculative), the\n"
-         "    largest component (group scheduler), or the largest retry\n"
-         "    wave (OCC);\n"
+         "    largest component (group scheduler), or the re-executed\n"
+         "    transactions (block-stm);\n"
          "  * the speculative engine executes conflicted transactions "
          "twice\n"
          "    (executions > block size); the oracle and group engines "
          "never\n"
-         "    re-execute; OCC retries in parallel waves; block-stm "
-         "re-executes\n"
-         "    only invalidated transactions against its multi-version "
-         "store;\n"
+         "    re-execute; block-stm re-executes only invalidated\n"
+         "    transactions against its multi-version store;\n"
          "  * unit-cost time is the paper's model currency: one unit per\n"
          "    transaction execution slot on the critical path.\n";
 

@@ -323,11 +323,12 @@ fi
 # --- bench-large lane: block-size scaling smoke ----------------------------
 # Re-runs the bench with TXCONC_BENCH_LARGE=1, which adds the 10k-tx
 # concatenated-block cells on top of the fast {124, 1000} grid (reps are
-# automatically cut to <=3 for cells of 10k+ txs, and occ is excluded
-# there — see the skip notice in bench/ablation_engines.cpp). The gate
-# then checks the large cells against the committed baselines AND the
-# attainment floor: >= 2 parallel engines must beat sequential wall clock
-# at >= 4 threads on >= 1000-tx blocks on multicore hosts, or hold
+# automatically cut to <=3 for cells of 10k+ txs). Every engine measured
+# at 1000 txs must also have 10k-tx rows — checked directly, with a
+# negative control that drops one engine's 10k rows and must trip. The
+# gate then checks the large cells against the committed baselines AND
+# the attainment floor: >= 2 parallel engines must beat sequential wall
+# clock at >= 4 threads on >= 1000-tx blocks on multicore hosts, or hold
 # wall_speedup >= 0.9 on hosts with < 4 cores.
 if lane_enabled bench-large; then
   echo "== lane: bench-large =="
@@ -340,7 +341,40 @@ if lane_enabled bench-large; then
   (cd build/bench-large && env TXCONC_BENCH_LARGE=1 \
     TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
     "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
-  grep -q "skipping occ at block_txs=10000" build/bench-large/bench.log
+  # Exits non-zero when an executor with a 1000-tx row has no 10k row.
+  check_large_coverage() {
+    python3 - "$1" <<'PYEOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    rows = json.load(f)["results"]
+def engines(txs):
+    return {r["executor"] for r in rows if r["block_txs"] == txs}
+if not engines(1000):
+    print("no 1000-tx rows")
+    sys.exit(1)
+missing = sorted(engines(1000) - engines(10000))
+if missing:
+    print("no 10000-tx rows for: " + ", ".join(missing))
+    sys.exit(1)
+PYEOF
+  }
+  check_large_coverage build/bench-large/BENCH_exec.json
+  python3 - <<'PYEOF'
+import json
+with open("build/bench-large/BENCH_exec.json") as f:
+    doc = json.load(f)
+doc["results"] = [r for r in doc["results"]
+                  if not (r["executor"] == "block-stm"
+                          and r["block_txs"] == 10000)]
+with open("build/bench-large/BENCH_exec_doctored.json", "w") as f:
+    json.dump(doc, f)
+PYEOF
+  if check_large_coverage build/bench-large/BENCH_exec_doctored.json \
+       > build/bench-large/coverage_doctored.log 2>&1; then
+    echo "bench-large lane FAILED: dropped 10k rows did not trip the check"
+    exit 1
+  fi
+  echo "coverage negative control OK: dropped block-stm 10k rows tripped"
   scripts/bench_gate --exec build/bench-large/BENCH_exec.json \
     --profile build/bench-large/BENCH_profile.json \
     --contend build/bench-large/BENCH_contention.json

@@ -34,12 +34,12 @@ class FaultInjector {
 /// apply_transaction calls on_begin once the validity checks have passed
 /// (so rejected transactions are never recorded) and on_complete just
 /// before returning the receipt, on the executing thread. Executors may
-/// run a transaction several times (speculation retries, OCC waves); each
-/// attempt produces one begin/complete pair, and the pairs never nest on
-/// one thread because apply_transaction does not recurse. Implementations
-/// must be internally synchronized: hooks fire concurrently from every
-/// pool worker. The audit layer (src/audit) builds its interval-based
-/// ordering checks on exactly this contract.
+/// run a transaction several times (speculation retries, block-stm
+/// incarnations); each attempt produces one begin/complete pair, and the
+/// pairs never nest on one thread because apply_transaction does not
+/// recurse. Implementations must be internally synchronized: hooks fire
+/// concurrently from every pool worker. The audit layer (src/audit) builds
+/// its interval-based ordering checks on exactly this contract.
 class AccessRecorder {
  public:
   virtual ~AccessRecorder() = default;

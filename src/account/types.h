@@ -83,7 +83,7 @@ constexpr std::uint64_t mix64(std::uint64_t k) noexcept {
 }
 
 /// Hash for SlotAccess keys in unordered containers (conflict detection,
-/// OCC validation, block analysis). Boost-style hash_combine: a plain
+/// access auditing, block analysis). Boost-style hash_combine: a plain
 /// `hash(address) ^ key*phi` lets related (address, key) pairs cancel each
 /// other out under XOR and alias distinct slots; folding each field into
 /// the running seed keeps slots of the same address apart.

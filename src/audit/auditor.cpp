@@ -344,9 +344,9 @@ AuditReport AccessAuditor::finish_block() {
         }
 
         // Pure anti-dependency: j overwrites what i read. Overlap is
-        // legitimate (OCC reads its pre-wave snapshot and commits in
-        // block order), but i running strictly after j would have read
-        // j's future.
+        // legitimate (speculative-fww reads the pre-block snapshot and
+        // commits in block order), but i running strictly after j would
+        // have read j's future.
         const account::SlotAccess* anti_dep =
             first_common(write_sets[j], fi.reads);
         if (anti_dep != nullptr) {

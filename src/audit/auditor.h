@@ -18,8 +18,9 @@
 //      finish strictly before the later one begins, while a pure
 //      anti-dependency (later tx only overwrites what the earlier one
 //      read) is violated only when the earlier reader ran strictly after
-//      the later writer — OCC legitimately overlaps anti-dependencies
-//      under snapshot isolation with in-order commit.
+//      the later writer — speculative-fww legitimately overlaps
+//      anti-dependencies: phase 1 reads the pre-block snapshot and
+//      commits in block order.
 //
 // When uninstalled (RuntimeConfig::recorder == nullptr) the executors pay
 // nothing: apply_transaction takes one pointer comparison per call.
@@ -57,7 +58,7 @@ const char* to_string(AuditViolation::Kind kind);
 /// How the executor under audit orders conflicting commits — selects which
 /// check-(b) rules finish_block applies.
 enum class CommitDiscipline {
-  /// Interval exclusivity (every engine up to occ): a true or output
+  /// Interval exclusivity (every engine but block-stm): a true or output
   /// dependency requires the earlier final run to end strictly before the
   /// later one begins; anti-dependencies may overlap but the reader must
   /// not run strictly after the writer; abandoned attempts are broken

@@ -170,8 +170,8 @@ class FlatTable {
   std::size_t tombstones_ = 0;
 };
 
-/// Membership-only companion of FlatTable (conflict sets, OCC wave write
-/// sets). Same epoch-clear and allocation behavior.
+/// Membership-only companion of FlatTable (conflict sets, first-writer-wins
+/// commit and poison sets). Same epoch-clear and allocation behavior.
 template <typename Key, typename Hash = std::hash<Key>>
 class FlatSet {
  public:

@@ -3,7 +3,7 @@
 //
 // The executors' results are required to be schedule-independent; the
 // perturber makes that property testable by forcing many distinct worker
-// interleavings (OCC wave claim orders, speculative overlay completion
+// interleavings (block-stm task claim orders, speculative overlay completion
 // orders, caller-runs vs helper-runs races) out of one binary, one seed
 // per interleaving family.
 #pragma once

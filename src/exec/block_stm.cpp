@@ -521,7 +521,7 @@ class BlockStmExecutor final : public BlockExecutor {
 
     if (registry != nullptr) {
       // The stall analog for Block-STM is the serial commit walk (phase 2
-      // by construction), mirroring occ's attribution.
+      // by construction).
       registry->histogram(obs::names::kMetricExecConflictStallUs)
           .observe(report.sched.phase2_seconds * 1e6);
       obs::Histogram& attempts_hist =

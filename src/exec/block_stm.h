@@ -1,14 +1,14 @@
 // Block-STM executor (Gelashvili et al., PPoPP'22): optimistic
 // multi-version execution with dynamic dependency discovery.
 //
-// Unlike the OCC wave executor — which freezes the base state per wave and
-// validates in order, serializing on the first conflict of every wave
-// (DESIGN.md §13.3) — Block-STM gives every transaction a private view
-// over a multi-version store: reads resolve to the highest lower-index
-// speculative write, aborted incarnations leave ESTIMATE markers that
-// suspend dependent reads instead of letting them run on garbage, and
-// validation failures re-execute only the invalidated transaction (plus
-// revalidation of its suffix), never the whole block.
+// Unlike a wave-based optimistic executor — which freezes the base state
+// per wave and validates in order, serializing on the first conflict of
+// every wave (DESIGN.md §13.3) — Block-STM gives every transaction a
+// private view over a multi-version store: reads resolve to the highest
+// lower-index speculative write, aborted incarnations leave ESTIMATE
+// markers that suspend dependent reads instead of letting them run on
+// garbage, and validation failures re-execute only the invalidated
+// transaction (plus revalidation of its suffix), never the whole block.
 //
 // This header exposes the multi-version store itself so the unit tests in
 // tests/block_stm_test.cpp can drive it directly; the engine, view, and

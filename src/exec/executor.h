@@ -32,8 +32,8 @@ struct SchedulingBreakdown {
   /// thread drained itself (caller-runs share).
   std::uint64_t grains = 0;
   std::uint64_t grains_caller_run = 0;
-  /// Wall-clock split: the concurrent phase (speculation / parallel waves
-  /// / component execution, incl. conflict detection and overlay commit)
+  /// Wall-clock split: the concurrent phase (speculation / component
+  /// execution, incl. conflict detection and overlay commit)
   /// vs the serial phase (sequential bin, in-order validation, merges).
   double phase1_seconds = 0.0;
   double phase2_seconds = 0.0;
@@ -59,7 +59,7 @@ struct ExecutionReport {
   std::vector<account::Receipt> receipts;
   /// Per-transaction execution attempts / incarnations reached, in block
   /// order. Filled by engines with targeted re-execution (block-stm);
-  /// empty for wave- and bin-style engines, whose retries are aggregated
+  /// empty for bin- and group-style engines, whose retries are aggregated
   /// in `executions` / `sequential_txs`.
   std::vector<std::uint32_t> tx_attempts;
   std::vector<std::uint32_t> tx_incarnations;
@@ -116,13 +116,6 @@ std::unique_ptr<BlockExecutor> make_oracle_executor(unsigned num_threads);
 /// with LPT. Sequential inside a component, parallel across components.
 std::unique_ptr<BlockExecutor> make_group_executor(unsigned num_threads,
                                                    bool use_lpt = true);
-
-/// Optimistic concurrency control executor (Block-STM / Dickerson et al.
-/// style, the related work the paper cites as orthogonal): waves of
-/// parallel speculation with in-order validation; aborted transactions
-/// retry in the next wave instead of a sequential bin.
-std::unique_ptr<BlockExecutor> make_occ_executor(unsigned num_threads,
-                                                 unsigned max_waves = 64);
 
 /// A named executor family: a stable identifier (used in conformance repro
 /// commands and BENCH_exec.json) plus a factory over the thread count.

@@ -22,7 +22,6 @@ const std::vector<ExecutorSpec>& executor_registry() {
       {"group-lpt", true, [](unsigned n) { return make_group_executor(n); }},
       {"group-list", true,
        [](unsigned n) { return make_group_executor(n, /*use_lpt=*/false); }},
-      {"occ", true, [](unsigned n) { return make_occ_executor(n); }},
       {"block-stm", true,
        [](unsigned n) { return make_block_stm_executor(n); },
        /*multi_version=*/true},

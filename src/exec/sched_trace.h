@@ -35,7 +35,8 @@ class SchedTrace {
     boundary_set_ = true;
   }
 
-  /// Wave-style executors attribute explicit segment durations instead.
+  /// Executors without a single boundary (sequential, block-stm)
+  /// attribute explicit segment durations instead.
   void add_phase1(double seconds) { extra_phase1_ += seconds; }
   void add_phase2(double seconds) { extra_phase2_ += seconds; }
 

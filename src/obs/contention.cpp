@@ -28,10 +28,6 @@ const char* abort_reason_name(AbortReason reason) {
       return "invalid_attempt";
     case AbortReason::kFwwPoisoned:
       return "fww_poisoned";
-    case AbortReason::kOccWaveRetry:
-      return "occ_wave_retry";
-    case AbortReason::kOccDeferred:
-      return "occ_deferred";
     case AbortReason::kBlockStmEstimateAbort:
       return "estimate_abort";
     case AbortReason::kBlockStmValidationFail:

@@ -7,8 +7,8 @@
 // the loop from the engines' side: every execution attempt feeds its
 // observed read/write sets into a lane-sharded, allocation-free
 // SpaceSaving top-k sketch over (address, slot, channel) touches, engines
-// attribute their aborts (speculative conflicts, fww poisonings, OCC wave
-// retries, Block-STM estimate-aborts / validation failures) to the
+// attribute their aborts (speculative conflicts, fww poisonings,
+// Block-STM estimate-aborts / validation failures) to the
 // specific keys that caused them, and a per-block observer computes
 // measured `c`, `l`, the component-size histogram and the quality of
 // `exec::predicted_addresses` closures (precision / recall /
@@ -55,12 +55,6 @@ enum class AbortReason : std::uint8_t {
   /// speculative(first-writer-wins): tx read or wrote a slot already
   /// committed or poisoned by an earlier transaction.
   kFwwPoisoned,
-  /// occ: in-order validation found a read/write clashing with an
-  /// earlier transaction's write in the same wave; tx retries next wave.
-  kOccWaveRetry,
-  /// occ: tx deferred because an earlier member of its predicted
-  /// component already clashed (no specific key).
-  kOccDeferred,
   /// block-stm: a read hit an ESTIMATE marker and the attempt suspended
   /// or restarted behind the blocking transaction.
   kBlockStmEstimateAbort,
@@ -222,8 +216,9 @@ class ContentionSink {
   TXCONC_HOT void record_touch(const TouchKey& key);
   /// Record an abort attributed to a specific key.
   TXCONC_HOT void record_abort(AbortReason reason, const TouchKey& key);
-  /// Record an abort with no attributable key (e.g. occ's deferred
-  /// components): counted in the totals, absent from the key sketch.
+  /// Record an abort with no attributable key (e.g. speculative's valid
+  /// members of a component poisoned by an invalid attempt): counted in
+  /// the totals, absent from the key sketch.
   TXCONC_HOT void record_abort(AbortReason reason);
 
   // --- block lifecycle (one thread, between executions) ---

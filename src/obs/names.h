@@ -92,7 +92,6 @@ inline constexpr const char* kMetricExecAttemptsPerTx =
     "exec.attempts_per_tx";
 inline constexpr const char* kMetricExecLargestComponentTxs =
     "exec.largest_component_txs";
-inline constexpr const char* kMetricExecOccWaves = "exec.occ_waves";
 inline constexpr const char* kMetricExecBlockStmValidations =
     "exec.block_stm_validations";
 inline constexpr const char* kMetricExecBlockStmAborts =

@@ -256,12 +256,6 @@ void Tracer::clear() {
   generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void Tracer::set_ring_capacity(std::size_t max_events_per_thread) {
-  const MutexLock lock(mu_);
-  cap_ = std::max<std::size_t>(max_events_per_thread,
-                               ThreadBuffer::kChunkEvents);
-}
-
 std::size_t Tracer::event_count(const char* name) const {
   const MutexLock lock(mu_);
   std::size_t count = 0;

@@ -166,14 +166,6 @@ class Tracer {
   /// re-register on their next emission. Call quiescently.
   void clear();
 
-  /// Raise/lower the per-thread ring cap for buffers registered from now
-  /// on (existing buffers keep their size — call clear() first so every
-  /// thread re-registers). Deep-profiling runs (e.g. the bench's
-  /// attribution cells, where occ emits an attempt span per wave
-  /// re-execution) need more than the default before the ring wraps and
-  /// drops 'B' events. Call quiescently, like clear().
-  void set_ring_capacity(std::size_t max_events_per_thread);
-
   /// Events currently held (optionally only those named `name`).
   std::size_t event_count(const char* name = nullptr) const;
   /// Events lost to ring wrap-around across all buffers.
@@ -198,9 +190,9 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> generation_{0};  ///< bumped by clear()
   std::uint64_t epoch_ns_;                    ///< construction timestamp
+  const std::size_t cap_;                     ///< per-thread ring cap
 
   mutable Mutex mu_;
-  std::size_t cap_ GUARDED_BY(mu_);  ///< ring cap for NEW buffers
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_ GUARDED_BY(mu_);
 };
 

@@ -75,7 +75,7 @@ TEST(AuditGrid, AllRegisteredExecutorsPassTheAudit) {
 TEST(AuditGrid, AuditHoldsUnderInjectedFaults) {
   conformance::GridOptions options;
   options.profiles = {"ethereum"};
-  options.executors = {"speculative", "occ", "block-stm"};
+  options.executors = {"speculative", "block-stm"};
   options.thread_grid = {4};
   options.num_schedule_seeds = fast_mode() ? 1 : 2;
   options.num_blocks = 2;
@@ -170,10 +170,11 @@ TEST(AuditNegativeControl, OverlappingDependentCommitsFire) {
   EXPECT_GE(report.conflict_pairs_checked, 1u);
 }
 
-// The OCC carve-out: a pure anti-dependency (later tx overwrites what the
-// earlier one read) may overlap -- that is exactly how OCC executes under
-// snapshot isolation with in-order commit -- but the reader running
-// strictly AFTER the writer is a violation.
+// The anti-dependency carve-out: a pure anti-dependency (later tx
+// overwrites what the earlier one read) may overlap -- that is how
+// speculative-fww executes, reading the pre-block snapshot and committing
+// in block order -- but the reader running strictly AFTER the writer is a
+// violation.
 TEST(AuditNegativeControl, AntiDependencyOverlapIsLegalButInversionFires) {
   const Address alice = addr(1);
   const Address carol = addr(3);

@@ -2,8 +2,8 @@
 // multi-version store's resolution/estimate/incarnation rules, exact
 // re-execution counts on a hand-built dependency chain (deterministic
 // scheduler mode), the negative control proving validation is
-// load-bearing, and the occ wave-serialization regression the block-stm
-// design exists to avoid (DESIGN.md §13.3 vs §14).
+// load-bearing, and the one-execution-per-transaction pin on an
+// all-conflicting block (DESIGN.md §13.3 vs §14).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -291,6 +291,17 @@ TEST(BlockStm, HotSlotBlockCommitsLikeSequential) {
     for (const std::uint32_t a : report.tx_attempts) total_attempts += a;
     EXPECT_EQ(total_attempts, report.executions);
   }
+
+  // Dispatched in block order, the same chain resolves with one execution
+  // per transaction — the in-order wave serialization DESIGN.md §13.3
+  // recorded (one commit per wave, n(n+1)/2 executions) must not return.
+  BlockStmOptions options;
+  options.deterministic = true;
+  account::StateDb state = genesis;
+  const ExecutionReport report =
+      make_block_stm_executor(2, options)->execute_block(state, block, config);
+  EXPECT_EQ(report.executions, kSenders);
+  EXPECT_EQ(state.digest(), reference.digest());
 }
 
 TEST(BlockStm, EmptyBlockIsANoop) {
@@ -338,48 +349,6 @@ TEST(BlockStm, RegistryEntryIsFlaggedMultiVersion) {
     EXPECT_EQ(spec.make(2)->name(), "block-stm");
   }
   EXPECT_TRUE(found);
-}
-
-// ------------------------------------------- occ wave-serialization pin
-
-TEST(OccRegression, InOrderValidationSerializesHotSlotBlocks) {
-  // Regression pin for DESIGN.md §13.3: occ's in-order validation commits
-  // exactly one transaction per wave on an all-conflicting block, so a
-  // 48-tx hot-slot block costs 48+47+...+1 executions. This documents
-  // today's collapse (the reason occ is excluded from 10k+ bench cells)
-  // so a future fix shows up as a deliberate change, not silent drift —
-  // and contrasts it with block-stm, which resolves the same chain with
-  // one execution per transaction when dispatched in block order.
-  constexpr std::uint64_t kTxs = 48;
-  account::StateDb genesis;
-  std::vector<account::AccountTx> block;
-  for (std::uint64_t s = 0; s < kTxs; ++s) {
-    genesis.set_balance(addr(200 + s), 1'000'000'000);
-    account::AccountTx tx;
-    tx.from = addr(200 + s);
-    tx.to = addr(9);  // one hot receiver: every pair conflicts
-    tx.value = 1;
-    tx.gas_limit = 30000;
-    tx.nonce = 0;
-    block.push_back(tx);
-  }
-  genesis.flush_journal();
-  account::RuntimeConfig config;
-
-  account::StateDb occ_state = genesis;
-  const ExecutionReport occ_report =
-      make_occ_executor(4)->execute_block(occ_state, block, config);
-  EXPECT_EQ(occ_report.executions, kTxs * (kTxs + 1) / 2);
-  EXPECT_EQ(occ_state.balance(addr(9)), kTxs);
-
-  BlockStmOptions options;
-  options.deterministic = true;
-  account::StateDb stm_state = genesis;
-  const ExecutionReport stm_report = make_block_stm_executor(2, options)
-                                         ->execute_block(stm_state, block,
-                                                         config);
-  EXPECT_EQ(stm_report.executions, kTxs);
-  EXPECT_EQ(stm_state.digest(), occ_state.digest());
 }
 
 }  // namespace

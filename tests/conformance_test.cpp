@@ -55,7 +55,7 @@ TEST(DifferentialOracle, ExecutorZooMatchesSequentialAcrossGrid) {
   GridOptions options;
   options.profiles = {"ethereum", "ethereum_classic", "zilliqa"};
   options.executors = {"speculative", "oracle-speculative", "group-lpt",
-                       "occ", "block-stm"};
+                       "block-stm"};
   options.thread_grid = {1, 2, 4};
   options.num_schedule_seeds = fast_mode() ? 2 : 10;
   options.num_blocks = 3;
@@ -63,7 +63,7 @@ TEST(DifferentialOracle, ExecutorZooMatchesSequentialAcrossGrid) {
 
   const GridOutcome outcome = run_grid(options);
   if (!fast_mode()) {
-    EXPECT_GE(outcome.cells, 5u * 3u * 3u * 10u);
+    EXPECT_GE(outcome.cells, 4u * 3u * 3u * 10u);
   }
   EXPECT_GT(outcome.blocks_checked, 0u);
   report_divergences(outcome);
@@ -95,7 +95,7 @@ TEST(FaultInjection, ExecutorsAgreeOnTrappedReceiptsAndState) {
   GridOptions options;
   options.profiles = {"ethereum", "zilliqa"};
   options.executors = {"speculative", "speculative-fww", "oracle-speculative",
-                       "group-lpt", "occ", "block-stm"};
+                       "group-lpt", "block-stm"};
   options.thread_grid = {4};
   options.num_schedule_seeds = fast_mode() ? 2 : 5;
   options.num_blocks = 3;
@@ -293,7 +293,7 @@ TEST(SchedulePerturber, StatsShowInjectedActions) {
 
 TEST(ReproCommand, FormatAndParseRoundTrip) {
   RunSpec spec;
-  spec.executor = "occ";
+  spec.executor = "block-stm";
   spec.threads = 8;
   spec.profile = "zilliqa";
   spec.profile_seed = 123;
@@ -453,7 +453,6 @@ TEST(UsageErrors, ExecutorConstructorsValidateArguments) {
     if (!spec.parallel) continue;
     EXPECT_THROW(spec.make(0), UsageError) << spec.name;
   }
-  EXPECT_THROW(exec::make_occ_executor(2, /*max_waves=*/0), UsageError);
   EXPECT_THROW(exec::make_executor("no-such-engine", 2), UsageError);
   EXPECT_THROW(exec::ThreadPool(0), UsageError);
   EXPECT_NO_THROW(exec::make_executor("sequential", 0));
@@ -461,7 +460,7 @@ TEST(UsageErrors, ExecutorConstructorsValidateArguments) {
 
 TEST(UsageErrors, RegistryCoversTheWholeZoo) {
   const std::vector<exec::ExecutorSpec>& registry = exec::executor_registry();
-  ASSERT_GE(registry.size(), 8u);
+  ASSERT_GE(registry.size(), 7u);
   EXPECT_EQ(registry.front().name, "sequential");
   EXPECT_FALSE(registry.front().parallel);
   // Registry names match the executors' self-reported names.

@@ -137,7 +137,7 @@ TEST(SpaceSavingSketch, AbsorbAddsCountsErrorsAndReasons) {
   SpaceSavingSketch donor(1);
   donor.admit(skey(1, 0), 2);  // A
   donor.admit(skey(2, 0), 1);  // B evicts A: count 3, error 2
-  donor.admit_abort(skey(2, 0), AbortReason::kOccWaveRetry);  // count 4
+  donor.admit_abort(skey(2, 0), AbortReason::kSpecConflict);  // count 4
   {
     const auto* b = find_entry(donor, skey(2, 0));
     ASSERT_NE(b, nullptr);
@@ -154,7 +154,7 @@ TEST(SpaceSavingSketch, AbsorbAddsCountsErrorsAndReasons) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->count, 14u);  // 10 + donor's 4
   EXPECT_EQ(b->error, 2u);   // errors add for shared keys
-  EXPECT_EQ(b->reasons[static_cast<std::size_t>(AbortReason::kOccWaveRetry)],
+  EXPECT_EQ(b->reasons[static_cast<std::size_t>(AbortReason::kSpecConflict)],
             1u);
   const auto* c = find_entry(into, skey(3, 0));
   ASSERT_NE(c, nullptr);
@@ -203,18 +203,18 @@ TEST(SpaceSavingSketch, WarmChurnWithEvictionsIsAllocationFree) {
 TEST(ContentionSink, KeyedAndKeylessAbortsBothTally) {
   obs::ContentionSink sink(8);
   sink.begin_block();
-  sink.record_abort(AbortReason::kOccWaveRetry, skey(1, 0));
-  sink.record_abort(AbortReason::kOccWaveRetry, skey(1, 0));
-  sink.record_abort(AbortReason::kOccDeferred);  // no attributable key
+  sink.record_abort(AbortReason::kSpecConflict, skey(1, 0));
+  sink.record_abort(AbortReason::kSpecConflict, skey(1, 0));
+  sink.record_abort(AbortReason::kInvalidAttempt);  // no attributable key
   sink.finish_block();
   const obs::AbortCounts& totals = sink.abort_totals();
-  EXPECT_EQ(totals[static_cast<std::size_t>(AbortReason::kOccWaveRetry)], 2u);
-  EXPECT_EQ(totals[static_cast<std::size_t>(AbortReason::kOccDeferred)], 1u);
+  EXPECT_EQ(totals[static_cast<std::size_t>(AbortReason::kSpecConflict)], 2u);
+  EXPECT_EQ(totals[static_cast<std::size_t>(AbortReason::kInvalidAttempt)], 1u);
   // Only the keyed aborts land in the key sketch.
   EXPECT_EQ(sink.aborts().total(), 2u);
   const auto* e = find_entry(sink.aborts(), skey(1, 0));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->reasons[static_cast<std::size_t>(AbortReason::kOccWaveRetry)],
+  EXPECT_EQ(e->reasons[static_cast<std::size_t>(AbortReason::kSpecConflict)],
             2u);
 }
 
@@ -232,7 +232,7 @@ TEST(ContentionSink, WarmBlockCycleIsAllocationFree) {
       sink.record_touches(reads, writes);
       sink.record_touch(skey(3, 1));
       sink.record_abort(AbortReason::kSpecConflict, skey(3, 1));
-      sink.record_abort(AbortReason::kOccDeferred);
+      sink.record_abort(AbortReason::kInvalidAttempt);
     }
     sink.finish_block();
   };

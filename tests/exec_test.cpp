@@ -476,8 +476,6 @@ TEST_F(ExecutorRig, AllExecutorsMatchSequentialState) {
   others.push_back(make_group_executor(4));
   others.push_back(make_group_executor(4, /*use_lpt=*/false));
   others.push_back(make_speculative_executor(1));  // degenerate pool
-  others.push_back(make_occ_executor(4));
-  others.push_back(make_occ_executor(2, /*max_waves=*/1));  // forced fallback
   for (auto& executor : others) {
     const auto [state, report] = run(*executor);
     EXPECT_EQ(state.digest(), expected) << executor->name();
@@ -622,43 +620,6 @@ TEST_F(ExecutorRig, PredictGroupsIsSoundForTheRig) {
   EXPECT_EQ(groups.component_sizes[groups.component_of_tx[7]], 1u);
 }
 
-TEST_F(ExecutorRig, OccFinishesInFewWaves) {
-  auto executor = make_occ_executor(4);
-  const auto [state, report] = run(*executor);
-  // OCC re-runs conflicted transactions in parallel waves: total
-  // executions exceed the block size (retries) but the unit-cost time is
-  // bounded by waves * ceil(pending/n), far below a sequential bin.
-  EXPECT_GT(report.executions, report.num_txs);
-  auto speculative = make_speculative_executor(4);
-  const auto [s2, spec_report] = run(*speculative);
-  EXPECT_LE(report.simulated_units, spec_report.simulated_units);
-}
-
-TEST(ExecutorOcc, WaveCountBoundedByDependencyDepth) {
-  // A chain of 6 same-sender transactions: each wave commits exactly one
-  // (nonce order), so OCC needs 6 waves and 6+5+4+3+2+1 executions.
-  account::StateDb state;
-  state.set_balance(addr(1), 1'000'000'000);
-  state.flush_journal();
-  std::vector<account::AccountTx> block;
-  for (std::uint64_t n = 0; n < 6; ++n) {
-    account::AccountTx tx;
-    tx.from = addr(1);
-    tx.to = addr(100 + n);
-    tx.value = 1;
-    tx.gas_limit = 30000;
-    tx.nonce = n;
-    block.push_back(tx);
-  }
-  auto executor = make_occ_executor(4);
-  account::RuntimeConfig config;
-  const ExecutionReport report = executor->execute_block(state, block, config);
-  EXPECT_EQ(report.executions, 21u);
-  for (std::uint64_t n = 0; n < 6; ++n) {
-    EXPECT_EQ(state.balance(addr(100 + n)), 1u);
-  }
-}
-
 // Regression: a transaction that fails phase-1 validation (stale nonce)
 // leaves no access sets, yet its sequential re-run can interact with a
 // later transaction through order-dependent contract logic. Here the
@@ -720,7 +681,6 @@ TEST(ExecutorOrdering, InvalidAttemptStillOrdersContractLogic) {
       make_speculative_executor(4, AbortPolicy::kFirstWriterWins));
   engines.push_back(make_oracle_executor(4));
   engines.push_back(make_group_executor(4));
-  engines.push_back(make_occ_executor(4));
   for (const auto& engine : engines) {
     account::StateDb state;
     build_state(state, auction_addr);
@@ -970,7 +930,6 @@ TEST_P(GeneratedBlockEquivalence, ExecutorsAgreeOnGeneratedHistory) {
   executors.push_back(make_group_executor(4));
   executors.push_back(
       make_speculative_executor(3, AbortPolicy::kFirstWriterWins));
-  executors.push_back(make_occ_executor(4));
   for (const auto& executor : executors) {
     EXPECT_EQ(run_all(*executor), expected) << executor->name();
   }
@@ -1000,7 +959,6 @@ TEST(HistoryReplayer, AllEnginesReachTheSameState) {
   std::vector<std::unique_ptr<BlockExecutor>> engines;
   engines.push_back(make_speculative_executor(4));
   engines.push_back(make_group_executor(4));
-  engines.push_back(make_occ_executor(4));
   engines.push_back(make_oracle_executor(2));
   for (const auto& engine : engines) {
     EXPECT_EQ(run_through(*engine), expected) << engine->name();

@@ -211,7 +211,6 @@ TEST(Integration, MixedExecutorsPerBlockStillAgree) {
   pool.push_back(exec::make_sequential_executor());
   pool.push_back(exec::make_speculative_executor(3));
   pool.push_back(exec::make_group_executor(2));
-  pool.push_back(exec::make_occ_executor(3));
   pool.push_back(exec::make_oracle_executor(2));
   pool.push_back(
       exec::make_speculative_executor(2, exec::AbortPolicy::kFirstWriterWins));
