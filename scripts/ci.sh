@@ -7,8 +7,10 @@
 #    attribution sum invariant must hold for every engine ("profile OK");
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
-#    common_test + chain_test put the SHA-NI kernel's unaligned loads and
-#    the merkle/ledger paths under UBSan; account_test + state_trie_test
+#    common_test + chain_test put the SHA-NI kernel's unaligned loads,
+#    the 16-lane AVX-512 batch path (its transposing loads and stores,
+#    with the page-guard test catching any over-read ASan cannot see) and
+#    the merkle/ledger paths under ASan/UBSan; account_test + state_trie_test
 #    cover the flat account table, whose records move when it grows;
 #    txconc_profile then analyzes the traced exec_test run, driving the
 #    trace parser and span-DAG analyzer over sanitizer-instrumented code;
@@ -116,8 +118,8 @@ if lane_enabled asan; then
     --target parallel_executor --target txconc_profile
   # Leak checking needs ptrace, which container CI runners often deny; the
   # races/UB we are after are caught without it.
-  # Both SHA-256 kernels (the hardware one where the CPU has it) and the
-  # merkle reduction, under UBSan.
+  # Both SHA-256 kernels and every batch path (SHA-NI and the 16-lane
+  # AVX-512 one where the CPU has them), and the merkle reduction.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/common_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/chain_test
   # The flat account table: records move when it grows, including in the

@@ -38,11 +38,14 @@ Hash256 StateTrie::combine(const Hash256& left, const Hash256& right) {
 }
 
 StateTrie::Key StateTrie::key_of(const Address& addr) {
+  return key_from_digest(Hash256::digest_of(addr.bytes).bytes.data());
+}
+
+StateTrie::Key StateTrie::key_from_digest(const std::uint8_t* digest) {
   // Traverse the bits of the address hash (uniform even for adversarially
   // chosen addresses).
-  const Hash256 h = Hash256::digest_of(addr.bytes);
   Key key = 0;
-  for (unsigned i = 0; i < kDepth / 8; ++i) key = (key << 8) | h.bytes[i];
+  for (unsigned i = 0; i < kDepth / 8; ++i) key = (key << 8) | digest[i];
   return key;
 }
 
@@ -218,8 +221,9 @@ void StateTrie::rehash() {
 }
 
 void StateTrie::hash_level(unsigned depth) {
-  // Chunks of messages on the stack, hashed in place.
-  constexpr std::size_t kChunk = 32;
+  // Chunks of messages on the stack, hashed in place; whole 16-lane groups
+  // except in the last chunk.
+  constexpr std::size_t kChunk = 64;
   std::array<std::uint8_t, 64 * kChunk> chunk;
   const Hash256& empty = empty_hashes()[kDepth - depth - 1];
   for (std::size_t start = 0; start < active_.size(); start += kChunk) {
@@ -252,11 +256,32 @@ void StateTrie::update(const Address& addr, const Hash256& leaf_digest) {
 }
 
 void StateTrie::update(std::span<const Leaf> leaves) {
-  for (const Leaf& leaf : leaves) {
-    if (leaf.digest.is_zero()) {
-      remove(key_of(leaf.address));
-    } else {
-      set(key_of(leaf.address), leaf.digest);
+  // The keys of a chunk of leaves hash as one batch of padded one-block
+  // messages, on the stack; the leaves then apply in order.
+  constexpr std::size_t kChunk = 64;
+  static_assert(Sha256::padded_blocks(sizeof(Address)) == 1);
+  std::array<std::uint8_t, 64 * kChunk> messages;
+  std::array<std::uint8_t, 32 * kChunk> digests;
+  std::array<std::uint32_t, kChunk> one_block;
+  one_block.fill(1);
+  for (std::size_t start = 0; start < leaves.size(); start += kChunk) {
+    const std::size_t n = std::min(kChunk, leaves.size() - start);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint8_t* const message = messages.data() + 64 * i;
+      std::memcpy(message, leaves[start + i].address.bytes.data(),
+                  sizeof(Address));
+      Sha256::pad(message, sizeof(Address));
+    }
+    Sha256::hash_padded_batch(messages.data(),
+                              std::span(one_block).first(n), digests.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const Leaf& leaf = leaves[start + i];
+      const Key key = key_from_digest(digests.data() + 32 * i);
+      if (leaf.digest.is_zero()) {
+        remove(key);
+      } else {
+        set(key, leaf.digest);
+      }
     }
   }
   last_update_hashes_ = 0;

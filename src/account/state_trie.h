@@ -8,9 +8,9 @@
 // only at leaves and branch points, so its size is O(accounts), and the
 // empty runs of an edge are folded into the hash cached at the edge's top
 // (DESIGN.md §18). The root is a function of the leaf set alone: it equals
-// that of the uncompressed kDepth-level trie. An update re-hashes its stale
-// nodes level by level, each level's independent hashes as one batch
-// (DESIGN.md §22).
+// that of the uncompressed kDepth-level trie. An update hashes its leaves'
+// keys as one batch, then re-hashes its stale nodes level by level, each
+// level's independent hashes as one batch (DESIGN.md §22, §23).
 #pragma once
 
 #include <cstdint>
@@ -89,6 +89,8 @@ class StateTrie {
   static const std::vector<Hash256>& empty_hashes();
   static Hash256 combine(const Hash256& left, const Hash256& right);
   static Key key_of(const Address& addr);
+  /// The key in the first bytes of SHA-256(address).
+  static Key key_from_digest(const std::uint8_t* digest);
   /// Number of leading key bits two keys share (kDepth when equal).
   static unsigned common_prefix(Key a, Key b);
   static unsigned bit(Key key, unsigned depth) {

@@ -23,8 +23,30 @@ namespace txconc::chain {
 Hash256 tx_hash(const utxo::Transaction& tx);
 
 /// Hash adapter: account transactions are hashed over a canonical
-/// serialization of all signed fields.
+/// serialization of all signed fields, write_tx().
 Hash256 tx_hash(const account::AccountTx& tx);
+
+/// The canonical serialization of an account transaction: every signed
+/// field, encoded as ByteWriter encodes it, into any writer with
+/// ByteWriter's u8/u32/u64/raw/bytes calls. tx_hash() and
+/// transactions_root() both encode through it, so their bytes agree.
+template <typename Writer>
+void write_tx(Writer& w, const account::AccountTx& tx) {
+  w.raw(tx.from.bytes);
+  w.u8(tx.to.has_value() ? 1 : 0);
+  if (tx.to) w.raw(tx.to->bytes);
+  w.u64(tx.value);
+  w.u64(tx.gas_limit);
+  w.u64(tx.gas_price);
+  w.u64(tx.nonce);
+  w.u32(static_cast<std::uint32_t>(tx.args.size()));
+  for (const std::uint64_t arg : tx.args) w.u64(arg);
+  w.u32(static_cast<std::uint32_t>(tx.address_args.size()));
+  for (const Address& a : tx.address_args) w.raw(a.bytes);
+  w.bytes(tx.init_code.code);
+  w.u32(static_cast<std::uint32_t>(tx.init_code.address_table.size()));
+  for (const Address& a : tx.init_code.address_table) w.raw(a.bytes);
+}
 
 /// A block header ("a sequence of blocks linked together via cryptographic
 /// hash pointers", paper Section II-A).
@@ -52,16 +74,24 @@ struct Block {
   std::size_t size() const { return transactions.size(); }
 };
 
-/// Compute the merkle root over a transaction list.
+/// Compute the merkle root over a transaction list; `mutated` as in
+/// merkle_root().
 template <typename Tx>
-Hash256 transactions_root(std::span<const Tx> transactions) {
+Hash256 transactions_root(std::span<const Tx> transactions,
+                          bool* mutated = nullptr) {
   std::vector<Hash256> leaves;
   leaves.reserve(transactions.size());
   for (const Tx& tx : transactions) {
     leaves.push_back(tx_hash(tx));
   }
-  return merkle_root(leaves);
+  return merkle_root(leaves, mutated);
 }
+
+/// The same root for account transactions, their leaves hashed as one
+/// batch: each transaction is encoded once, padded, into one per-thread
+/// buffer reused from block to block.
+Hash256 transactions_root(std::span<const account::AccountTx> transactions,
+                          bool* mutated = nullptr);
 
 /// Assemble a block on top of `prev` (pass nullptr for the genesis block).
 template <typename Tx>
@@ -129,12 +159,19 @@ class Ledger {
   }
 
   /// Checks a received block against the tip: linkage, timestamp and
-  /// merkle root. Throws ValidationError.
+  /// merkle root, and that no level of the tree pairs equal siblings (a
+  /// body padded with a copy of its tail shares the honest root).
+  /// Throws ValidationError.
   Checked check(Block<Tx> block) const {
     check_linkage(block.header);
+    bool mutated = false;
     if (block.header.merkle_root !=
-        transactions_root(std::span<const Tx>(block.transactions))) {
+        transactions_root(std::span<const Tx>(block.transactions),
+                          &mutated)) {
       throw ValidationError("merkle root mismatch");
+    }
+    if (mutated) {
+      throw ValidationError("merkle tree pairs equal siblings");
     }
     return Checked(std::move(block));
   }

@@ -14,8 +14,15 @@ static_assert(sizeof(Hash256) == 32, "a level must be packed digests");
 
 /// Hashes the pairs of the n-node level at `level` into the (n + 1) / 2
 /// nodes at `out`; an odd last node pairs with itself. `out` may equal
-/// `level`: the level then reduces in place.
-void hash_level(const Hash256* level, std::size_t n, Hash256* out) {
+/// `level`: the level then reduces in place. Sets *mutated when a full
+/// pair holds two equal siblings.
+void hash_level(const Hash256* level, std::size_t n, Hash256* out,
+                bool* mutated) {
+  if (mutated != nullptr) {
+    for (std::size_t i = 0; i + 1 < n; i += 2) {
+      if (level[i] == level[i + 1]) *mutated = true;
+    }
+  }
   Sha256::hash64_twice_batch(reinterpret_cast<const std::uint8_t*>(level),
                              reinterpret_cast<std::uint8_t*>(out), n / 2);
   if (n % 2 == 1) {
@@ -28,12 +35,13 @@ void hash_level(const Hash256* level, std::size_t n, Hash256* out) {
 
 }  // namespace
 
-Hash256 merkle_root(std::span<const Hash256> leaves) {
+Hash256 merkle_root(std::span<const Hash256> leaves, bool* mutated) {
+  if (mutated != nullptr) *mutated = false;
   if (leaves.empty()) return Hash256{};
   // One copy, reduced in place: level n's pairs overwrite its first half.
   std::vector<Hash256> level(leaves.begin(), leaves.end());
   for (std::size_t n = level.size(); n > 1; n = (n + 1) / 2) {
-    hash_level(level.data(), n, level.data());
+    hash_level(level.data(), n, level.data(), mutated);
   }
   return level[0];
 }
@@ -48,7 +56,7 @@ MerkleTree::MerkleTree(std::span<const Hash256> leaves)
   while (levels_.back().size() > 1) {
     const std::size_t n = levels_.back().size();
     std::vector<Hash256> next((n + 1) / 2);
-    hash_level(levels_.back().data(), n, next.data());
+    hash_level(levels_.back().data(), n, next.data(), nullptr);
     levels_.push_back(std::move(next));
   }
 }

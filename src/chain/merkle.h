@@ -11,7 +11,12 @@ namespace txconc::chain {
 
 /// Root of the merkle tree over the given leaves. An empty leaf set hashes
 /// to the all-zero root.
-Hash256 merkle_root(std::span<const Hash256> leaves);
+///
+/// Duplicating the odd last node makes [a, b, c] and [a, b, c, c] share a
+/// root (CVE-2012-2459). When `mutated` is given, it is set to whether
+/// any level pairs two equal siblings, which no list of distinct leaves
+/// does; a ledger refuses such a list.
+Hash256 merkle_root(std::span<const Hash256> leaves, bool* mutated = nullptr);
 
 /// A membership proof: sibling hashes bottom-up plus the leaf position.
 struct MerkleProof {

@@ -66,6 +66,10 @@ struct Address {
 /// hasher instead of a heap buffer. For hashes taken in bulk.
 class HashWriter {
  public:
+  HashWriter() = default;
+  /// Hashes on `kernel`, so tests can run an encoding on each kernel.
+  explicit HashWriter(Sha256::Kernel kernel) : sha_(kernel) {}
+
   void u8(std::uint8_t v) { sha_.update({&v, 1}); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }

@@ -6,8 +6,9 @@
 // Two compression kernels compute identical digests: a portable one, and
 // on x86-64 CPUs with the SHA extensions a SHA-NI one. The hasher picks
 // the fastest the CPU supports, once, at first use (DESIGN.md §19).
-// Fixed-shape commitment nodes (trie joins and lifts, merkle pairs) hash
-// as batches of 64-byte messages, two at a time on SHA-NI (DESIGN.md §22).
+// Commitment hashes (trie joins and lifts, merkle pairs, transaction
+// leaves) run as batches: sixteen messages at a time in AVX-512 lanes,
+// else two at a time on SHA-NI (DESIGN.md §22, §23).
 #pragma once
 
 #include <array>
@@ -69,23 +70,59 @@ class Sha256 {
   /// Double SHA-256 (Bitcoin-style txid construction).
   static Digest hash_twice(std::span<const std::uint8_t> data);
 
+  /// How a batch runs: the portable kernel one message at a time, two
+  /// interleaved SHA-NI lanes, or sixteen AVX-512 lanes. A 16-lane batch
+  /// hashes whole groups of 16 messages and leaves the rest to the SHA-NI
+  /// path, or to the portable one on a CPU without SHA-NI.
+  enum class BatchPath : std::uint8_t { kPortable, kShaNi, kAvx512 };
+
+  /// Whether this CPU (and its OS, for the AVX-512 register state) can
+  /// run `path`.
+  static bool has_batch_path(BatchPath path);
+
+  /// Messages the default batch path hashes at once: 16 on AVX-512
+  /// (F and BW, with opmask and ZMM state enabled), else 2 on SHA-NI,
+  /// else 1. Chosen once, at first use.
+  static std::size_t batch_lanes();
+
   /// SHA-256 of each of `n` 64-byte messages: the 32 bytes at
   /// out + 32 * i become the digest of the 64 bytes at in + 64 * i. `out`
   /// may equal `in`, so a tree level hashes in place: each output
   /// overwrites only input already read.
   TXCONC_HOT static void hash64_batch(const std::uint8_t* in,
                                       std::uint8_t* out, std::size_t n);
-  /// hash64_batch on `kernel`, so tests can run each kernel's batch path.
-  TXCONC_HOT static void hash64_batch(Kernel kernel, const std::uint8_t* in,
+  /// hash64_batch on `path`, which the CPU must have, so tests can run
+  /// each path.
+  TXCONC_HOT static void hash64_batch(BatchPath path, const std::uint8_t* in,
                                       std::uint8_t* out, std::size_t n);
 
   /// hash64_batch, with each digest hashed once more (hash_twice of each
   /// message). Same layout and aliasing rule.
   TXCONC_HOT static void hash64_twice_batch(const std::uint8_t* in,
                                             std::uint8_t* out, std::size_t n);
-  TXCONC_HOT static void hash64_twice_batch(Kernel kernel,
+  TXCONC_HOT static void hash64_twice_batch(BatchPath path,
                                             const std::uint8_t* in,
                                             std::uint8_t* out, std::size_t n);
+
+  /// 64-byte blocks a message of `length` bytes fills once padded.
+  static constexpr std::size_t padded_blocks(std::size_t length) {
+    return (length + 8) / 64 + 1;
+  }
+  /// Pads the `length` bytes at `message` in place (FIPS 180-4 §5.1.1):
+  /// writes the terminator, the zeros and the bit length up to the end
+  /// of its padded_blocks(length) blocks.
+  static void pad(std::uint8_t* message, std::size_t length);
+
+  /// SHA-256 of messages padded by pad() and laid end to end at `in`:
+  /// message i fills blocks[i] >= 1 blocks, and its digest goes to
+  /// out + 32 * i. Messages of equal block count share 16-lane groups,
+  /// in any order. `out` must not overlap `in`.
+  TXCONC_HOT static void hash_padded_batch(
+      const std::uint8_t* in, std::span<const std::uint32_t> blocks,
+      std::uint8_t* out);
+  TXCONC_HOT static void hash_padded_batch(
+      BatchPath path, const std::uint8_t* in,
+      std::span<const std::uint32_t> blocks, std::uint8_t* out);
 
   /// The portable kernel: the reference the tests compare against, and
   /// the only kernel on CPUs without the SHA extensions.
@@ -101,7 +138,8 @@ class Sha256 {
   static std::array<std::uint32_t, 64> schedule(const std::uint8_t* block);
 
   /// The same for the padding block every 64-byte message ends with,
-  /// computed at compile time; the SHA-NI batch path runs it as is.
+  /// computed at compile time; the SHA-NI and AVX-512 batch paths run it
+  /// as is.
   static const std::array<std::uint32_t, 64>& padding_schedule();
 
  private:

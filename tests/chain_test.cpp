@@ -1,6 +1,10 @@
 // Tests for the chain substrate: merkle trees, blocks, ledger, PoW, mempool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <thread>
+
 #include "chain/block.h"
 #include "chain/merkle.h"
 #include "chain/pow.h"
@@ -44,6 +48,29 @@ TEST(Merkle, OddLeafCountDuplicatesLast) {
   std::vector<Hash256> l4 = l3;
   l4.push_back(l3[2]);
   EXPECT_EQ(merkle_root(l3), merkle_root(l4));
+}
+
+// Duplicating an odd last node gives [a, b, c] and [a, b, c, c] one root
+// (CVE-2012-2459); the padded list is the one that pairs equal siblings.
+TEST(Merkle, EqualSiblingsFlagAPaddedList) {
+  bool mutated = true;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    merkle_root(leaves(n), &mutated);
+    EXPECT_FALSE(mutated) << n << " distinct leaves";
+  }
+  const auto l3 = leaves(3);
+  std::vector<Hash256> l4 = l3;
+  l4.push_back(l3[2]);
+  EXPECT_EQ(merkle_root(l4, &mutated), merkle_root(l3));
+  EXPECT_TRUE(mutated);
+  // Six leaves padded with a copy of their last pair: the equal siblings
+  // meet one level up.
+  const auto l6 = leaves(6);
+  std::vector<Hash256> l8 = l6;
+  l8.push_back(l6[4]);
+  l8.push_back(l6[5]);
+  EXPECT_EQ(merkle_root(l8, &mutated), merkle_root(l6));
+  EXPECT_TRUE(mutated);
 }
 
 TEST(Merkle, OrderMatters) {
@@ -150,6 +177,105 @@ TEST(Block, GoldenTransactionRoots) {
             "c7b5eb06cf43b3e0d2f54fd6e88a61532747fae8a6fc7103d4f6aae2e7f976e7");
 }
 
+// Seeded account transactions: calls with 0-40 arguments and 0-3 address
+// arguments, and every fifth one a creation whose init code spans 0 to
+// about 8 blocks, so the encodings span many block counts.
+std::vector<account::AccountTx> seeded_txs(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<account::AccountTx> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    account::AccountTx& tx = out[i];
+    tx.from = Address::from_seed(rng.next_u64());
+    tx.value = rng.uniform(1'000'000);
+    tx.gas_limit = 21'000 + rng.uniform(100'000);
+    tx.gas_price = 1 + rng.uniform(50);
+    tx.nonce = rng.uniform(1'000);
+    if (i % 5 == 4) {
+      tx.init_code.code.resize(rng.uniform(512));
+      for (std::uint8_t& b : tx.init_code.code) {
+        b = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      for (std::size_t a = rng.uniform(4); a > 0; --a) {
+        tx.init_code.address_table.push_back(Address::from_seed(rng.next_u64()));
+      }
+    } else {
+      tx.to = Address::from_seed(rng.next_u64());
+    }
+    for (std::size_t a = rng.uniform(41); a > 0; --a) {
+      tx.args.push_back(rng.next_u64());
+    }
+    for (std::size_t a = rng.uniform(4); a > 0; --a) {
+      tx.address_args.push_back(Address::from_seed(rng.next_u64()));
+    }
+  }
+  return out;
+}
+
+Sha256::Digest portable_hash(std::span<const std::uint8_t> data) {
+  Sha256 h(&Sha256::portable_kernel);
+  h.update(data);
+  return h.finalize();
+}
+
+// The root the one-at-a-time way, on the portable kernel alone: each
+// transaction's tx_hash encoding, then pairs hashed twice level by level.
+Hash256 portable_transactions_root(std::span<const account::AccountTx> txs) {
+  if (txs.empty()) return Hash256{};
+  std::vector<Hash256> level;
+  for (const account::AccountTx& tx : txs) {
+    HashWriter w(&Sha256::portable_kernel);
+    write_tx(w, tx);
+    level.push_back(w.finish());
+  }
+  while (level.size() > 1) {
+    if (level.size() % 2 == 1) level.push_back(level.back());
+    std::vector<Hash256> next;
+    for (std::size_t i = 0; i < level.size(); i += 2) {
+      Bytes pair(level[i].bytes.begin(), level[i].bytes.end());
+      pair.insert(pair.end(), level[i + 1].bytes.begin(),
+                  level[i + 1].bytes.end());
+      next.push_back(Hash256{portable_hash(portable_hash(pair))});
+    }
+    level = std::move(next);
+  }
+  return level[0];
+}
+
+TEST(Block, BatchedTransactionsRootMatchesPortableReference) {
+  for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 120u, 1000u}) {
+    const std::vector<account::AccountTx> block = seeded_txs(n + 1, n);
+    const std::span<const account::AccountTx> txs(block);
+    const Hash256 root = transactions_root(txs);
+    EXPECT_EQ(root, portable_transactions_root(txs)) << n << " transactions";
+    std::vector<Hash256> leaves;
+    for (const account::AccountTx& tx : block) leaves.push_back(tx_hash(tx));
+    EXPECT_EQ(root, merkle_root(leaves)) << n << " transactions";
+  }
+}
+
+// Each call encodes into its own buffer: two threads hashing different
+// blocks at once each get their block's root.
+TEST(Block, ConcurrentTransactionsRootsAgree) {
+  const std::vector<account::AccountTx> a = seeded_txs(71, 300);
+  const std::vector<account::AccountTx> b = seeded_txs(72, 301);
+  const Hash256 want_a = transactions_root(std::span<const account::AccountTx>(a));
+  const Hash256 want_b = transactions_root(std::span<const account::AccountTx>(b));
+  std::atomic<int> wrong{0};
+  const auto hammer = [&wrong](const std::vector<account::AccountTx>& txs,
+                               const Hash256& want) {
+    for (int i = 0; i < 100; ++i) {
+      if (transactions_root(std::span<const account::AccountTx>(txs)) != want) {
+        wrong.fetch_add(1);
+      }
+    }
+  };
+  std::thread first(hammer, std::cref(a), std::cref(want_a));
+  std::thread second(hammer, std::cref(b), std::cref(want_b));
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(Block, MakeBlockLinksAndCommits) {
   std::vector<account::AccountTx> txs(3);
   for (std::size_t i = 0; i < txs.size(); ++i) {
@@ -215,6 +341,25 @@ TEST(Ledger, CheckedBlocksAreBoundToTheTip) {
   const BlockHeader next = ledger.next_header(10, 1);
   EXPECT_EQ(next.height, 1u);
   EXPECT_EQ(next.prev_hash, ledger.tip().header.hash());
+}
+
+// A body padded with a copy of its last transaction keeps the honest
+// merkle root; the ledger refuses it on the equal siblings.
+TEST(Ledger, CheckRejectsDuplicatedTail) {
+  const std::vector<account::AccountTx> txs = seeded_txs(5, 3);
+  const auto honest = make_block<account::AccountTx>(nullptr, txs, 0, 1);
+  auto padded = honest;
+  padded.transactions.push_back(padded.transactions.back());
+  ASSERT_EQ(transactions_root(
+                std::span<const account::AccountTx>(padded.transactions)),
+            honest.header.merkle_root);
+
+  Ledger<account::AccountTx> ledger;
+  EXPECT_THROW(ledger.check(padded), ValidationError);
+  EXPECT_THROW(ledger.append(padded), ValidationError);
+  EXPECT_EQ(ledger.height(), 0u);
+  ledger.append(honest);
+  EXPECT_EQ(ledger.height(), 1u);
 }
 
 TEST(Ledger, FirstBlockMustBeGenesis) {

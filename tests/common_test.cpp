@@ -1,8 +1,19 @@
 // Unit tests for src/common: codecs, SHA-256, identifiers, PRNG, stats.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include "common/ascii_plot.h"
 #include "common/bytes.h"
@@ -236,46 +247,71 @@ TEST_P(Sha256Kernel, MatchesPortableOnEveryLengthAndRandomLengths) {
   }
 }
 
-// The batch paths against the one-shot hasher: random, all-zero and
-// all-0xff messages, batch sizes around the two-lane pairing, into a
-// separate buffer and in place.
-TEST_P(Sha256Kernel, BatchesMatchOneShotHashes) {
+Sha256::Digest digest_at(const std::uint8_t* out, std::size_t i) {
+  Sha256::Digest d;
+  std::copy_n(out + 32 * i, 32, d.begin());
+  return d;
+}
+
+// A batch function under test: hash64_twice_batch when `twice`, else
+// hash64_batch.
+using Hash64Batch = std::function<void(bool twice, const std::uint8_t* in,
+                                       std::uint8_t* out, std::size_t n)>;
+
+// `batch` against one-shot hashes on `kernel`: random, all-zero and
+// all-0xff messages, batch sizes around the two-lane pairing and the
+// 16-lane groups, into a separate buffer and in place.
+void expect_hash64_batches_match(Sha256::Kernel kernel,
+                                 const Hash64Batch& batch) {
+  const auto one_shot = [kernel](std::span<const std::uint8_t> data) {
+    Sha256 h(kernel);
+    h.update(data);
+    return h.finalize();
+  };
   Rng rng(29);
-  const Sha256::Kernel kernel = GetParam().kernel;
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 33u}) {
+  for (const std::size_t n :
+       {0u, 1u, 2u, 3u, 15u, 16u, 17u, 31u, 32u, 33u, 47u, 48u, 49u, 100u}) {
     for (const int fill : {-1, 0x00, 0xff}) {
       const Bytes in =
           fill < 0 ? random_bytes(rng, 64 * n)
                    : Bytes(64 * n, static_cast<std::uint8_t>(fill));
       Bytes once(32 * n);
       Bytes twice(32 * n);
-      Sha256::hash64_batch(kernel, in.data(), once.data(), n);
-      Sha256::hash64_twice_batch(kernel, in.data(), twice.data(), n);
+      batch(false, in.data(), once.data(), n);
+      batch(true, in.data(), twice.data(), n);
       Bytes once_in_place = in;
       Bytes twice_in_place = in;
-      Sha256::hash64_batch(kernel, once_in_place.data(), once_in_place.data(),
-                           n);
-      Sha256::hash64_twice_batch(kernel, twice_in_place.data(),
-                                 twice_in_place.data(), n);
+      batch(false, once_in_place.data(), once_in_place.data(), n);
+      batch(true, twice_in_place.data(), twice_in_place.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const std::span<const std::uint8_t> message(in.data() + 64 * i, 64);
-        const Sha256::Digest want_once = Sha256::hash(message);
-        const Sha256::Digest want_twice = Sha256::hash_twice(message);
-        const auto digest_at = [i](const Bytes& out) {
-          Sha256::Digest d;
-          std::copy_n(out.begin() + static_cast<std::ptrdiff_t>(32 * i), 32,
-                      d.begin());
-          return d;
-        };
-        EXPECT_EQ(digest_at(once), want_once) << "n=" << n << " i=" << i;
-        EXPECT_EQ(digest_at(twice), want_twice) << "n=" << n << " i=" << i;
-        EXPECT_EQ(digest_at(once_in_place), want_once)
+        const Sha256::Digest want_once = one_shot(message);
+        const Sha256::Digest want_twice = one_shot(want_once);
+        EXPECT_EQ(digest_at(once.data(), i), want_once)
+            << "n=" << n << " i=" << i;
+        EXPECT_EQ(digest_at(twice.data(), i), want_twice)
+            << "n=" << n << " i=" << i;
+        EXPECT_EQ(digest_at(once_in_place.data(), i), want_once)
             << "in place, n=" << n << " i=" << i;
-        EXPECT_EQ(digest_at(twice_in_place), want_twice)
+        EXPECT_EQ(digest_at(twice_in_place.data(), i), want_twice)
             << "in place, n=" << n << " i=" << i;
       }
     }
   }
+}
+
+// The default batch functions, on whichever path this CPU selected,
+// against each kernel's one-shot hashes.
+TEST_P(Sha256Kernel, BatchesMatchOneShotHashes) {
+  expect_hash64_batches_match(
+      GetParam().kernel, [](bool twice, const std::uint8_t* in,
+                            std::uint8_t* out, std::size_t n) {
+        if (twice) {
+          Sha256::hash64_twice_batch(in, out, n);
+        } else {
+          Sha256::hash64_batch(in, out, n);
+        }
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -294,6 +330,217 @@ TEST(Sha256, PaddingScheduleIsThePortableDerivation) {
   padding[0] = 0x80;  // terminator
   padding[62] = 0x02;  // bit length 512, big-endian
   EXPECT_EQ(Sha256::padding_schedule(), Sha256::schedule(padding.data()));
+}
+
+// ------------------------------------------------------ SHA-256 batch paths
+
+// Each batch path, called explicitly; a path the CPU lacks is skipped.
+struct NamedPath {
+  std::string name;
+  Sha256::BatchPath path;
+};
+
+void PrintTo(const NamedPath& named, std::ostream* os) { *os << named.name; }
+
+class Sha256Batch : public ::testing::TestWithParam<NamedPath> {
+ protected:
+  void SetUp() override {
+    if (!Sha256::has_batch_path(GetParam().path)) {
+      GTEST_SKIP() << "this CPU lacks the " << GetParam().name << " path";
+    }
+  }
+};
+
+// Messages padded end to end for hash_padded_batch, with their block
+// counts.
+struct PaddedBatch {
+  Bytes blocks;
+  std::vector<std::uint32_t> counts;
+};
+
+PaddedBatch pad_all(const std::vector<Bytes>& messages) {
+  PaddedBatch batch;
+  for (const Bytes& message : messages) {
+    const std::size_t count = Sha256::padded_blocks(message.size());
+    const std::size_t at = batch.blocks.size();
+    batch.blocks.resize(at + 64 * count);
+    std::copy(message.begin(), message.end(), batch.blocks.begin() + at);
+    Sha256::pad(batch.blocks.data() + at, message.size());
+    batch.counts.push_back(static_cast<std::uint32_t>(count));
+  }
+  return batch;
+}
+
+// hash_padded_batch on `path` against the portable one-shot hasher.
+void expect_padded_batch_matches(Sha256::BatchPath path,
+                                 const std::vector<Bytes>& messages) {
+  const PaddedBatch batch = pad_all(messages);
+  Bytes out(32 * messages.size());
+  Sha256::hash_padded_batch(path, batch.blocks.data(), batch.counts,
+                            out.data());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    ASSERT_EQ(digest_at(out.data(), i), portable_hash(messages[i]))
+        << "message " << i << ", " << messages[i].size() << " bytes";
+  }
+}
+
+TEST_P(Sha256Batch, Hash64MatchesOneShot) {
+  const Sha256::BatchPath path = GetParam().path;
+  expect_hash64_batches_match(
+      &Sha256::portable_kernel, [path](bool twice, const std::uint8_t* in,
+                                       std::uint8_t* out, std::size_t n) {
+        if (twice) {
+          Sha256::hash64_twice_batch(path, in, out, n);
+        } else {
+          Sha256::hash64_batch(path, in, out, n);
+        }
+      });
+}
+
+TEST_P(Sha256Batch, PaddedMatchesPortableOnEveryLength) {
+  Rng rng(31);
+  // Every length 0-300 (one to five blocks) in one unsorted batch.
+  std::vector<Bytes> messages;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    messages.push_back(random_bytes(rng, len));
+  }
+  for (std::size_t i = messages.size(); i > 1; --i) {
+    std::swap(messages[i - 1], messages[rng.uniform(i)]);
+  }
+  expect_padded_batch_matches(GetParam().path, messages);
+}
+
+TEST_P(Sha256Batch, PaddedMatchesPortableOnRandomLengths) {
+  Rng rng(37);
+  std::vector<Bytes> messages;
+  for (int i = 0; i < 200; ++i) {
+    messages.push_back(random_bytes(rng, rng.uniform(4097)));
+  }
+  expect_padded_batch_matches(GetParam().path, messages);
+  // Groups of equal length up to eight blocks, so every block count the
+  // 16-lane path groups runs as whole groups, plus a remainder.
+  messages.clear();
+  for (std::size_t count = 1; count <= 8; ++count) {
+    const std::size_t len = 64 * count - 9 - rng.uniform(55);
+    for (int i = 0; i < 17; ++i) messages.push_back(random_bytes(rng, len));
+  }
+  expect_padded_batch_matches(GetParam().path, messages);
+}
+
+// `size` bytes that end where a PROT_NONE page begins, so reading or
+// writing one byte past them faults. Vector loads that over-read are
+// invisible to AddressSanitizer; a guard page catches them in any build.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::size_t size) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    mapped_ = ((size + page - 1) / page + 1) * page;
+    void* const base = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<std::uint8_t*>(base);
+    if (mprotect(base_ + mapped_ - page, page, PROT_NONE) != 0) {
+      munmap(base_, mapped_);
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = base_ + mapped_ - page - size;
+  }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+  ~GuardedBytes() { munmap(base_, mapped_); }
+
+  std::uint8_t* data() const { return data_; }
+
+ private:
+  std::uint8_t* base_ = nullptr;
+  std::uint8_t* data_ = nullptr;
+  std::size_t mapped_ = 0;
+};
+
+TEST_P(Sha256Batch, StaysInsideItsBuffers) {
+  const Sha256::BatchPath path = GetParam().path;
+  Rng rng(41);
+  for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 33u}) {
+    const Bytes in = random_bytes(rng, 64 * n);
+    Bytes want_once(32 * n);
+    Bytes want_twice(32 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::span<const std::uint8_t> message(in.data() + 64 * i, 64);
+      const Sha256::Digest once = Sha256::hash(message);
+      const Sha256::Digest twice = Sha256::hash_twice(message);
+      std::copy(once.begin(), once.end(), want_once.begin() + 32 * i);
+      std::copy(twice.begin(), twice.end(), want_twice.begin() + 32 * i);
+    }
+    // The input against the guard page, then the output.
+    const GuardedBytes guarded_in(in.size());
+    std::copy(in.begin(), in.end(), guarded_in.data());
+    Bytes out(32 * n);
+    Sha256::hash64_batch(path, guarded_in.data(), out.data(), n);
+    EXPECT_EQ(out, want_once) << "n=" << n;
+    Sha256::hash64_twice_batch(path, guarded_in.data(), out.data(), n);
+    EXPECT_EQ(out, want_twice) << "n=" << n;
+
+    const GuardedBytes guarded_out(32 * n);
+    Sha256::hash64_batch(path, in.data(), guarded_out.data(), n);
+    EXPECT_TRUE(std::equal(want_once.begin(), want_once.end(),
+                           guarded_out.data()))
+        << "n=" << n;
+    Sha256::hash64_twice_batch(path, in.data(), guarded_out.data(), n);
+    EXPECT_TRUE(std::equal(want_twice.begin(), want_twice.end(),
+                           guarded_out.data()))
+        << "n=" << n;
+  }
+
+  // Padded messages: sixteen of one block count make a 16-lane group.
+  for (const std::size_t len : {20u, 100u, 300u}) {
+    std::vector<Bytes> messages;
+    for (int i = 0; i < 17; ++i) messages.push_back(random_bytes(rng, len));
+    const PaddedBatch batch = pad_all(messages);
+    const GuardedBytes guarded_in(batch.blocks.size());
+    std::copy(batch.blocks.begin(), batch.blocks.end(), guarded_in.data());
+    const GuardedBytes guarded_out(32 * messages.size());
+    Sha256::hash_padded_batch(path, guarded_in.data(), batch.counts,
+                              guarded_out.data());
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      EXPECT_EQ(digest_at(guarded_out.data(), i), portable_hash(messages[i]))
+          << "len=" << len << " i=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchPaths, Sha256Batch,
+    ::testing::Values(NamedPath{"portable", Sha256::BatchPath::kPortable},
+                      NamedPath{"sha_ni", Sha256::BatchPath::kShaNi},
+                      NamedPath{"avx512", Sha256::BatchPath::kAvx512}),
+    [](const ::testing::TestParamInfo<NamedPath>& path_info) {
+      return path_info.param.name;
+    });
+
+// The default batch width follows the CPU, read here independently of the
+// library: 16 lanes whenever CPUID reports AVX-512F and AVX-512BW and
+// XCR0 shows the OS saving opmask and ZMM state, else 2 on SHA-NI, else
+// 1. A detection bug would keep the digests and silently drop the speed.
+TEST(Sha256, BatchLanesFollowCpuid) {
+  bool avx512 = false;
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  const bool osxsave =
+      __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & (1u << 27)) != 0;
+  if (osxsave && __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+      (ebx & (1u << 16)) != 0 && (ebx & (1u << 30)) != 0) {
+    std::uint32_t xcr0 = 0;
+    std::uint32_t xcr0_high = 0;
+    __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+    avx512 = (xcr0 & 0xE6u) == 0xE6u;
+  }
+#endif
+  const std::size_t want =
+      avx512 ? 16 : Sha256::hardware_kernel() != nullptr ? 2 : 1;
+  EXPECT_EQ(Sha256::batch_lanes(), want);
+  EXPECT_EQ(Sha256::has_batch_path(Sha256::BatchPath::kAvx512), avx512);
+  EXPECT_EQ(Sha256::has_batch_path(Sha256::BatchPath::kShaNi),
+            Sha256::hardware_kernel() != nullptr);
 }
 
 // --------------------------------------------------------------- identifiers

@@ -249,6 +249,48 @@ TEST_F(AccountNodeTest, BackwardTimestampRejectedBeforeExecution) {
   }
 }
 
+// A block whose body repeats its last transaction has the honest merkle
+// root (CVE-2012-2459). The validator refuses it before any engine runs,
+// then accepts the honest block.
+TEST_F(AccountNodeTest, DuplicatedTailRejectedBeforeExecution) {
+  node_.submit_transaction(make_tx(addr(1), addr(3), 1, 0));
+  node_.submit_transaction(make_tx(addr(2), addr(3), 2, 0));
+  node_.submit_transaction(make_tx(addr(1), addr(3), 3, 1));
+  const auto honest = node_.produce_block(10);
+  ASSERT_EQ(honest.transactions.size(), 3u);
+  auto padded = honest;
+  padded.transactions.push_back(padded.transactions.back());
+  ASSERT_EQ(transactions_root(
+                std::span<const account::AccountTx>(padded.transactions)),
+            honest.header.merkle_root);
+
+  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
+    SCOPED_TRACE("engine '" + spec.name + "'");
+    const std::shared_ptr<exec::BlockExecutor> engine =
+        exec::make_executor(spec.name, 2);
+    std::size_t executed = 0;
+    AccountNode validator(
+        {}, [engine, &executed](account::StateDb& state,
+                                std::span<const account::AccountTx> txs,
+                                const account::RuntimeConfig& config) {
+          ++executed;
+          return engine->execute_block(state, txs, config).receipts;
+        });
+    validator.genesis_fund(addr(1), 10'000'000);
+    validator.genesis_fund(addr(2), 10'000'000);
+    const Hash256 genesis = validator.state().digest();
+
+    EXPECT_THROW(validator.receive_block(padded), ValidationError);
+    EXPECT_EQ(executed, 0u);
+    EXPECT_EQ(validator.state().digest(), genesis);
+    EXPECT_EQ(validator.ledger().height(), 0u);
+
+    validator.receive_block(honest);
+    EXPECT_EQ(executed, 1u);
+    EXPECT_EQ(validator.state().digest(), node_.state().digest());
+  }
+}
+
 TEST_F(AccountNodeTest, BackwardTimestampRejectedBeforePacking) {
   node_.submit_transaction(make_tx(addr(1), addr(3), 1, 0));
   node_.produce_block(10);
