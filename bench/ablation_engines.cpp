@@ -22,7 +22,6 @@
 #include "common/sha256.h"
 #include "core/components.h"
 #include "core/scheduling.h"
-#include "core/speedup_model.h"
 #include "exec/executor.h"
 #include "exec/predict.h"
 #include "obs/contention.h"
@@ -315,12 +314,10 @@ void run_executor_benchmark(benchmark::State& state,
   config.charge_fees = false;
   config.enforce_nonce = false;  // replay the same block repeatedly
   // Scheduling-overhead accumulators, so pool cost shows up separately
-  // from conflict-induced serialization (the phase-2 bin).
+  // from conflict-induced serialization.
   double pool_tasks = 0.0;
   double grains = 0.0;
   double caller_grains = 0.0;
-  double phase1_s = 0.0;
-  double phase2_s = 0.0;
   for (auto _ : state) {
     state.PauseTiming();
     account::StateDb db = fixture.genesis;
@@ -331,8 +328,6 @@ void run_executor_benchmark(benchmark::State& state,
     pool_tasks += static_cast<double>(report.sched.pool_tasks);
     grains += static_cast<double>(report.sched.grains);
     caller_grains += static_cast<double>(report.sched.grains_caller_run);
-    phase1_s += report.sched.phase1_seconds;
-    phase2_s += report.sched.phase2_seconds;
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fixture.block.size()));
@@ -342,10 +337,6 @@ void run_executor_benchmark(benchmark::State& state,
       benchmark::Counter(grains, benchmark::Counter::kAvgIterations);
   state.counters["caller_grains"] =
       benchmark::Counter(caller_grains, benchmark::Counter::kAvgIterations);
-  state.counters["phase1_us"] = benchmark::Counter(
-      phase1_s * 1e6, benchmark::Counter::kAvgIterations);
-  state.counters["phase2_us"] = benchmark::Counter(
-      phase2_s * 1e6, benchmark::Counter::kAvgIterations);
 }
 
 void BM_ExecSequential(benchmark::State& state) {
@@ -676,86 +667,6 @@ void write_bench_contention_json() {
   std::cout << "wrote " << out_path << " (" << rows.size()
             << " contention cells over " << cells.size()
             << " block sizes)\n";
-}
-
-// ---------------------------------------------- §V phase breakdown emitter
-
-// Measured per-phase wall times next to the closed-form model of Section
-// V: the unit cost u comes from the sequential baseline (wall/x), the
-// conflict rate c from the speculative engine's own bin, and the model's
-// serial tail c*x*u is printed beside the measured phase-2 wall so the
-// two are directly diffable.
-void print_phase_breakdown(std::span<const account::AccountTx> block,
-                           const account::StateDb& genesis) {
-  account::RuntimeConfig config;
-  config.charge_fees = false;
-  config.enforce_nonce = false;
-  config.synthetic_work = g_tx_work;
-
-  const unsigned n = 4;
-  const std::size_t x = block.size();
-  if (x == 0) return;
-
-  std::vector<exec::ExecutionReport> reports;
-  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    const auto executor = spec.make(spec.parallel ? n : 1);
-    exec::ExecutionReport best;
-    for (int rep = 0; rep < 3; ++rep) {
-      account::StateDb db = genesis;
-      exec::ExecutionReport report =
-          executor->execute_block(db, block, config);
-      if (rep == 0 || report.wall_seconds < best.wall_seconds) {
-        best = std::move(report);
-      }
-    }
-    reports.push_back(std::move(best));
-  }
-
-  double sequential_wall = 0.0;
-  double c_hat = 0.0;
-  for (const auto& r : reports) {
-    if (r.executor == "sequential") sequential_wall = r.wall_seconds;
-    if (r.executor == "speculative") {
-      c_hat = static_cast<double>(r.sequential_txs) / static_cast<double>(x);
-    }
-  }
-  const double unit_us = sequential_wall / static_cast<double>(x) * 1e6;
-  const double model_tail_us = c_hat * static_cast<double>(x) * unit_us;
-
-  analysis::TextTable table({"executor", "phase1_us", "phase2_us", "wall_us",
-                             "model_wall_us", "model_tail_us"});
-  for (const auto& r : reports) {
-    double model_wall_us = 0.0;
-    if (r.executor == "sequential") {
-      model_wall_us = static_cast<double>(x) * unit_us;
-    } else if (r.executor == "speculative" || r.executor == "speculative-fww") {
-      model_wall_us =
-          core::SpeculativeModel::execution_time_exact(x, c_hat, n) * unit_us;
-    } else if (r.executor == "oracle-speculative") {
-      model_wall_us =
-          core::SpeculativeModel::oracle_execution_time(x, c_hat, n, 1.0) *
-          unit_us;
-    } else {
-      // Group and block-stm engines: the model currency is the engine's
-      // own unit-cost critical path (simulated_units).
-      model_wall_us = r.simulated_units * unit_us;
-    }
-    const bool two_phase =
-        r.executor == "speculative" || r.executor == "speculative-fww" ||
-        r.executor == "oracle-speculative";
-    table.row({r.executor, analysis::fmt_double(r.sched.phase1_seconds * 1e6, 1),
-               analysis::fmt_double(r.sched.phase2_seconds * 1e6, 1),
-               analysis::fmt_double(r.wall_seconds * 1e6, 1),
-               analysis::fmt_double(model_wall_us, 1),
-               two_phase ? analysis::fmt_double(model_tail_us, 1) : "-"});
-  }
-  std::cout << "\nphase breakdown vs Section V model (x=" << x << ", n=" << n
-            << ", c=" << analysis::fmt_double(c_hat, 3)
-            << ", unit=" << analysis::fmt_double(unit_us, 2) << "us):\n"
-            << table.render()
-            << "model_tail_us is the closed-form c*x serial tail; compare "
-               "it against the measured phase2_us of the two-phase "
-               "engines.\n";
 }
 
 // ------------------------------------------------- BENCH_obs.json emitter
@@ -1102,16 +1013,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_bench_exec_json();
-  {
-    // Phase attribution at both ends of the amortization curve: the base
-    // block shows the per-block fixed costs, the 1k block shows the
-    // steady state the large-block cells gate (DESIGN.md §13).
-    static const ExecFixture fixture;
-    print_phase_breakdown({fixture.block.data(), fixture.block.size()},
-                          fixture.genesis);
-    print_phase_breakdown(standard_pool().prefix(1000),
-                          standard_pool().genesis);
-  }
   write_bench_obs_json();
   write_bench_profile_json();
   write_bench_contention_json();

@@ -25,16 +25,9 @@ int main() {
       analysis::compute_speedup_series(eth, kCores);
 
   // Engine curves from replaying the same history; the replay also sums
-  // the scheduling breakdown so pool overhead is reported separately from
-  // conflict-induced serialization.
-  struct SchedTotals {
-    std::uint64_t pool_tasks = 0;
-    std::uint64_t grains = 0;
-    std::uint64_t grains_caller_run = 0;
-    double phase1_seconds = 0.0;
-    double phase2_seconds = 0.0;
-  };
-  auto replay_curve = [&](exec::BlockExecutor& engine, SchedTotals& totals) {
+  // the pool counters so scheduling overhead is reported separately.
+  auto replay_curve = [&](exec::BlockExecutor& engine,
+                          exec::SchedulingBreakdown& totals) {
     exec::HistoryReplayer replayer(profile, kSeed);
     Bucketizer buckets(40, 0, profile.default_blocks - 1);
     for (std::uint64_t h = 0; h < profile.default_blocks; ++h) {
@@ -42,8 +35,6 @@ int main() {
       totals.pool_tasks += report.sched.pool_tasks;
       totals.grains += report.sched.grains;
       totals.grains_caller_run += report.sched.grains_caller_run;
-      totals.phase1_seconds += report.sched.phase1_seconds;
-      totals.phase2_seconds += report.sched.phase2_seconds;
       if (report.num_txs == 0) continue;
       buckets.add(h, report.simulated_speedup,
                   static_cast<double>(report.num_txs));
@@ -52,8 +43,8 @@ int main() {
   };
   auto group_engine = exec::make_group_executor(kCores);
   auto spec_engine = exec::make_speculative_executor(kCores);
-  SchedTotals group_sched;
-  SchedTotals spec_sched;
+  exec::SchedulingBreakdown group_sched;
+  exec::SchedulingBreakdown spec_sched;
   const std::vector<SeriesPoint> group_curve =
       replay_curve(*group_engine, group_sched);
   const std::vector<SeriesPoint> spec_curve =
@@ -94,20 +85,18 @@ int main() {
              analysis::fmt_double(oracle_modelled.peak, 2)});
   std::cout << table.render() << "\n";
 
-  // Scheduling overhead, separated from the serial (conflict) phase.
+  // Scheduling overhead: pool wakeups and the caller-runs share.
   auto sched_row = [](analysis::TextTable& t, const std::string& name,
-                      const SchedTotals& s) {
+                      const exec::SchedulingBreakdown& s) {
     const double caller_share =
         s.grains == 0 ? 0.0
                       : static_cast<double>(s.grains_caller_run) /
                             static_cast<double>(s.grains);
     t.row({name, std::to_string(s.pool_tasks), std::to_string(s.grains),
-           analysis::fmt_double(100.0 * caller_share, 1) + "%",
-           analysis::fmt_double(s.phase1_seconds, 3),
-           analysis::fmt_double(s.phase2_seconds, 3)});
+           analysis::fmt_double(100.0 * caller_share, 1) + "%"});
   };
-  analysis::TextTable sched_table({"engine", "pool tasks", "grains",
-                                   "caller-run", "phase1 s", "phase2 s"});
+  analysis::TextTable sched_table(
+      {"engine", "pool tasks", "grains", "caller-run"});
   sched_row(sched_table, "group engine", group_sched);
   sched_row(sched_table, "speculative engine", spec_sched);
   std::cout << "scheduling overhead (whole history):\n"

@@ -34,18 +34,6 @@ using namespace txconc;
 
 namespace {
 
-// Registry names, comma-joined, for the usage and error messages — the
-// engine list below is registry-driven, so this is always current
-// (speculative, speculative-fww, oracle, group, block-stm, ...).
-std::string registry_names() {
-  std::string names;
-  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    if (!names.empty()) names += ", ";
-    names += spec.name;
-  }
-  return names;
-}
-
 int usage(const char* argv0, int code) {
   (code == 0 ? std::cout : std::cerr)
       << "usage: " << argv0
@@ -58,7 +46,7 @@ int usage(const char* argv0, int code) {
       << "  --contend        explain each engine's contention: measured\n"
       << "                   c/l, hot keys, per-reason abort attribution\n"
       << "  --engine=<name>  run only <name> (plus the sequential oracle).\n"
-      << "                   registered engines: " << registry_names()
+      << "                   registered engines: " << exec::registry_names()
       << "\n";
   return code;
 }
@@ -111,7 +99,7 @@ int main(int argc, char** argv) {
   }
   if (!filter_found) {
     std::cerr << "unknown engine \"" << engine_filter
-              << "\"; registered engines: " << registry_names() << "\n";
+              << "\"; registered engines: " << exec::registry_names() << "\n";
     return 2;
   }
 

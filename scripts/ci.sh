@@ -2,6 +2,7 @@
 # CI entry point. Lanes (select with TXCONC_CI_LANES, comma-separated;
 # default runs all):
 #  * tier1 — configure, build (-Wall -Wextra -Wshadow -Werror), ctest,
+#    a TXCONC_REPRO replay of one block-stm conformance cell ("repro OK"),
 #    then an observability smoke: a traced ablation_engines run must
 #    emit a valid, non-empty Chrome trace AND the critpath profiler's
 #    attribution sum invariant must hold for every engine ("profile OK");
@@ -88,6 +89,18 @@ if lane_enabled tier1; then
   cmake -B build -S . -DTXCONC_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   cmake --build build -j"${JOBS}"
   ctest --test-dir build --output-on-failure -j"${JOBS}"
+  # Repro path: plain ctest skips ReproCommand.ReplaysEnvSpec, so replay
+  # one block-stm cell (4 threads, a schedule seed, faults on) the way a
+  # failing conformance cell's TXCONC_REPRO line says to, and require that
+  # the replay ran and passed rather than skipped.
+  TXCONC_REPRO='executor=block-stm threads=4 profile=ethereum profile_seed=1 schedule_seed=3 fault_rate=0.15 fault_seed=3 blocks=3 tx_scale=0.5' \
+    ./build/tests/conformance_test \
+    --gtest_filter='ReproCommand.ReplaysEnvSpec' > build/repro.log 2>&1
+  grep -q '^\[  PASSED  \] 1 test\.' build/repro.log
+  if grep -q 'SKIPPED' build/repro.log; then
+    echo "repro replay skipped"; exit 1
+  fi
+  echo "repro OK: ReproCommand.ReplaysEnvSpec replayed a block-stm cell"
   # Observability smoke: a traced bench run must produce a non-empty
   # Chrome trace whose spans the bench's built-in validator accepts
   # ("trace OK ...") and whose critpath profile satisfies the

@@ -1,11 +1,14 @@
 #include "conformance/differential.h"
 
 #include <cctype>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 
 #include "account/state.h"
 #include "audit/auditor.h"
 #include "common/error.h"
+#include "common/parse.h"
 #include "conformance/fault.h"
 #include "conformance/perturb.h"
 #include "exec/executor.h"
@@ -314,22 +317,27 @@ RunSpec parse_spec(const std::string& text) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    try {
-      if (key == "executor") spec.executor = value;
-      else if (key == "threads") spec.threads = static_cast<unsigned>(std::stoul(value));
-      else if (key == "profile") spec.profile = value;
-      else if (key == "profile_seed") spec.profile_seed = std::stoull(value);
-      else if (key == "schedule_seed") spec.schedule_seed = std::stoull(value);
-      else if (key == "fault_rate") spec.fault_rate = std::stod(value);
-      else if (key == "fault_seed") spec.fault_seed = std::stoull(value);
-      else if (key == "blocks") spec.num_blocks = std::stoull(value);
-      else if (key == "tx_scale") spec.tx_scale = std::stod(value);
-      else throw UsageError("unknown repro spec key: " + key);
-    } catch (const std::invalid_argument&) {
-      throw UsageError("bad repro spec value for " + key + ": " + value);
-    } catch (const std::out_of_range&) {
-      throw UsageError("repro spec value out of range for " + key);
-    }
+    // Numbers parse strictly: "threads=-1" must not wrap to 2^32 - 1.
+    const auto count = [&](std::uint64_t max = UINT64_MAX) {
+      const std::optional<std::uint64_t> v = parse_uint(value, max);
+      if (!v) throw UsageError("bad repro spec value: " + token);
+      return *v;
+    };
+    const auto real = [&] {
+      const std::optional<double> v = parse_nonnegative(value);
+      if (!v) throw UsageError("bad repro spec value: " + token);
+      return *v;
+    };
+    if (key == "executor") spec.executor = value;
+    else if (key == "threads") spec.threads = static_cast<unsigned>(count(UINT32_MAX));
+    else if (key == "profile") spec.profile = value;
+    else if (key == "profile_seed") spec.profile_seed = count();
+    else if (key == "schedule_seed") spec.schedule_seed = count();
+    else if (key == "fault_rate") spec.fault_rate = real();
+    else if (key == "fault_seed") spec.fault_seed = count();
+    else if (key == "blocks") spec.num_blocks = count();
+    else if (key == "tx_scale") spec.tx_scale = real();
+    else throw UsageError("unknown repro spec key: " + key);
   }
   return spec;
 }

@@ -466,7 +466,6 @@ class BlockStmExecutor final : public BlockExecutor {
       prepare_block();
     }
 
-    const auto exec_start = std::chrono::steady_clock::now();
     if (n_ > 0) {
       const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
                                  obs::names::kCatExec, block_span.context());
@@ -479,18 +478,15 @@ class BlockStmExecutor final : public BlockExecutor {
             /*grain=*/1);
       }
     }
-    const auto exec_end = std::chrono::steady_clock::now();
-    trace.add_phase1(
-        std::chrono::duration<double>(exec_end - exec_start).count());
 
+    double commit_seconds = 0.0;
     {
       const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
                                  obs::names::kCatExec, block_span.context());
+      const auto commit_start = std::chrono::steady_clock::now();
       commit(state);
+      commit_seconds = seconds_since(commit_start);
     }
-    trace.add_phase2(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - exec_end)
-                         .count());
 
     // ordering: relaxed — workers have joined by now (the scheduler
     // barrier), so the counter is quiescent; this is a plain read-back.
@@ -520,10 +516,9 @@ class BlockStmExecutor final : public BlockExecutor {
     report.wall_seconds = trace.finish(report.sched);
 
     if (registry != nullptr) {
-      // The stall analog for Block-STM is the serial commit walk (phase 2
-      // by construction).
+      // The stall analog for Block-STM is the serial commit walk.
       registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(report.sched.phase2_seconds * 1e6);
+          .observe(commit_seconds * 1e6);
       obs::Histogram& attempts_hist =
           registry->histogram(obs::names::kMetricExecAttemptsPerTx);
       for (const std::uint32_t a : attempts_) {

@@ -20,10 +20,10 @@
 
 namespace txconc::exec {
 
-/// Where one block execution spent its scheduling effort, separating pool
-/// overhead from conflict-induced serialization. Filled from ThreadPool
-/// stats deltas and per-phase timers by the parallel executors (all zero
-/// for the sequential baseline).
+/// The pool work one block execution cost, from ThreadPool stats deltas
+/// (all zero for the sequential baseline). The serial section's time is
+/// the exec.conflict_stall_us histogram; the critical-path buckets
+/// (DESIGN.md §16) split the rest of the wall clock when tracing is on.
 struct SchedulingBreakdown {
   /// Pool queue tasks run on behalf of this block (worker wakeups);
   /// bounded by O(num_workers) per parallel_for call, not O(num_txs).
@@ -32,11 +32,6 @@ struct SchedulingBreakdown {
   /// thread drained itself (caller-runs share).
   std::uint64_t grains = 0;
   std::uint64_t grains_caller_run = 0;
-  /// Wall-clock split: the concurrent phase (speculation / component
-  /// execution, incl. conflict detection and overlay commit)
-  /// vs the serial phase (sequential bin, in-order validation, merges).
-  double phase1_seconds = 0.0;
-  double phase2_seconds = 0.0;
 };
 
 /// What one block execution did and cost.
@@ -53,7 +48,7 @@ struct ExecutionReport {
   double simulated_units = 0.0;
   /// x / simulated_units; the quantity Figure 10 predicts.
   double simulated_speedup = 1.0;
-  /// Scheduling-overhead breakdown (pool work and phase wall times).
+  /// Scheduling-overhead breakdown (pool work).
   SchedulingBreakdown sched;
   /// Receipts in block order (identical across executors by contract).
   std::vector<account::Receipt> receipts;
@@ -135,6 +130,9 @@ struct ExecutorSpec {
 /// oracle differential-tests each parallel entry against the sequential
 /// baseline; a new executor joins the whole harness by registering here.
 const std::vector<ExecutorSpec>& executor_registry();
+
+/// The registry's names, comma-joined, for usage and error messages.
+std::string registry_names();
 
 /// Factory lookup by registry name; throws UsageError on unknown names.
 std::unique_ptr<BlockExecutor> make_executor(const std::string& name,

@@ -203,17 +203,19 @@ class GroupExecutor final : public BlockExecutor {
         }
       });
     }
-    trace.phase_boundary();
+    double merge_seconds = 0.0;
     {
       const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
                                  obs::names::kCatExec, block_span.context());
       // Merged values are final; skip the undo journal.
       const account::JournalPause pause(state);
+      const auto merge_start = std::chrono::steady_clock::now();
       for (std::size_t core_id = 0; core_id < schedule.assignment.size();
            ++core_id) {
         if (schedule.assignment[core_id].empty()) continue;
         scratch_[core_id].overlay.apply_to(state);
       }
+      merge_seconds = seconds_since(merge_start);
       state.flush_journal();
     }
 
@@ -228,11 +230,11 @@ class GroupExecutor final : public BlockExecutor {
             : 1.0;
     report.wall_seconds = trace.finish(report.sched);
     if (registry != nullptr) {
-      // Serial dwell for group concurrency: the overlay-merge tail; the
-      // in-phase-1 stall (cores idling behind the longest component) is
-      // visible separately via exec.largest_component_txs.
+      // Serial dwell for group concurrency: the overlay merge; cores
+      // idling behind the longest component are visible separately via
+      // exec.largest_component_txs.
       registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(report.sched.phase2_seconds * 1e6);
+          .observe(merge_seconds * 1e6);
       obs::Histogram& attempts_hist =
           registry->histogram(obs::names::kMetricExecAttemptsPerTx);
       for (std::size_t i = 0; i < transactions.size(); ++i) {

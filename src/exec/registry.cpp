@@ -29,17 +29,22 @@ const std::vector<ExecutorSpec>& executor_registry() {
   return registry;
 }
 
+std::string registry_names() {
+  std::string names;
+  for (const ExecutorSpec& spec : executor_registry()) {
+    if (!names.empty()) names += ", ";
+    names += spec.name;
+  }
+  return names;
+}
+
 std::unique_ptr<BlockExecutor> make_executor(const std::string& name,
                                              unsigned num_threads) {
   for (const ExecutorSpec& spec : executor_registry()) {
     if (spec.name == name) return spec.make(num_threads);
   }
-  std::string known;
-  for (const ExecutorSpec& spec : executor_registry()) {
-    if (!known.empty()) known += ", ";
-    known += spec.name;
-  }
-  throw UsageError("unknown executor '" + name + "' (known: " + known + ")");
+  throw UsageError("unknown executor '" + name +
+                   "' (known: " + registry_names() + ")");
 }
 
 }  // namespace txconc::exec

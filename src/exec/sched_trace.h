@@ -1,8 +1,7 @@
 // Scheduling-overhead recorder shared by every executor: diffs ThreadPool
-// counters around one block execution and splits the wall time into a
-// concurrent and a serial phase for the ExecutionReport. The sequential
-// baseline passes a null pool so its phase attribution flows through the
-// exact same path as the parallel engines (comparable breakdowns).
+// counters around one block execution and reads its wall clock for the
+// ExecutionReport. The sequential baseline passes a null pool, so its
+// counters stay zero.
 #pragma once
 
 #include <chrono>
@@ -16,33 +15,26 @@
 
 namespace txconc::exec {
 
+/// Steady-clock seconds since `start`.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 class SchedTrace {
  public:
   explicit SchedTrace(const ThreadPool& pool) : SchedTrace(&pool) {}
 
   /// Pool-less executors (sequential) pass nullptr: the task/grain
-  /// counters stay zero but the phase timers still work.
+  /// counters stay zero.
   explicit SchedTrace(const ThreadPool* pool)
       : pool_(pool),
         before_(pool ? pool->stats() : ThreadPoolStats{}),
-        start_(std::chrono::steady_clock::now()),
-        boundary_(start_) {}
-
-  /// Two-phase executors: everything before this call is phase 1,
-  /// everything after is phase 2.
-  void phase_boundary() {
-    boundary_ = std::chrono::steady_clock::now();
-    boundary_set_ = true;
-  }
-
-  /// Executors without a single boundary (sequential, block-stm)
-  /// attribute explicit segment durations instead.
-  void add_phase1(double seconds) { extra_phase1_ += seconds; }
-  void add_phase2(double seconds) { extra_phase2_ += seconds; }
+        start_(std::chrono::steady_clock::now()) {}
 
   /// Fill the breakdown; returns total wall seconds since construction.
   double finish(SchedulingBreakdown& out) const {
-    const auto now = std::chrono::steady_clock::now();
     if (pool_ != nullptr) {
       const ThreadPoolStats after = pool_->stats();
       out.pool_tasks = after.tasks_run - before_.tasks_run;
@@ -50,30 +42,18 @@ class SchedTrace {
       out.grains_caller_run =
           after.grains_caller_run - before_.grains_caller_run;
     }
-    out.phase1_seconds = extra_phase1_;
-    out.phase2_seconds = extra_phase2_;
-    if (boundary_set_) {
-      out.phase1_seconds +=
-          std::chrono::duration<double>(boundary_ - start_).count();
-      out.phase2_seconds +=
-          std::chrono::duration<double>(now - boundary_).count();
-    }
-    return std::chrono::duration<double>(now - start_).count();
+    return seconds_since(start_);
   }
 
  private:
   const ThreadPool* pool_;
   ThreadPoolStats before_;
   std::chrono::steady_clock::time_point start_;
-  std::chrono::steady_clock::time_point boundary_;
-  bool boundary_set_ = false;
-  double extra_phase1_ = 0.0;
-  double extra_phase2_ = 0.0;
 };
 
 /// Fold one finished block report into the metrics registry. Every
 /// executor calls this with the RuntimeConfig's obs registry (null-safe)
-/// so per-block counters and phase histograms accumulate uniformly.
+/// so per-block counters and histograms accumulate uniformly.
 inline void record_block_metrics(obs::Registry* registry,
                                  const ExecutionReport& report) {
   if (registry == nullptr) return;
@@ -85,10 +65,6 @@ inline void record_block_metrics(obs::Registry* registry,
       .add(report.sequential_txs);
   registry->histogram(obs::names::kMetricExecBlockWallUs)
       .observe(report.wall_seconds * 1e6);
-  registry->histogram(obs::names::kMetricExecPhase1Us)
-      .observe(report.sched.phase1_seconds * 1e6);
-  registry->histogram(obs::names::kMetricExecPhase2Us)
-      .observe(report.sched.phase2_seconds * 1e6);
   registry->histogram(obs::names::kMetricExecSeqBinTxs)
       .observe(static_cast<double>(report.sequential_txs));
   for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {

@@ -27,11 +27,6 @@ class SequentialExecutor final : public BlockExecutor {
     report.num_txs = transactions.size();
     report.receipts.resize(transactions.size());
     {
-      // The apply loop is the serial phase; there is no concurrent phase,
-      // so phase1 stays zero instead of absorbing setup/reporting time
-      // (the pre-obs code reported the whole wall as phase2, which made
-      // sequential-vs-parallel phase breakdowns incomparable).
-      const auto apply_start = std::chrono::steady_clock::now();
       const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
                                  obs::names::kCatExec, block_span.context());
       for (std::size_t i = 0; i < transactions.size(); ++i) {
@@ -44,9 +39,6 @@ class SequentialExecutor final : public BlockExecutor {
         account::apply_transaction_into(state, transactions[i], config,
                                         report.receipts[i], tracker_);
       }
-      trace.add_phase2(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - apply_start)
-                           .count());
     }
     {
       const obs::CausalSpan span(tracer, obs::names::kSpanCommit,

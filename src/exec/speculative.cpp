@@ -101,12 +101,10 @@ class SpeculativeExecutor final : public BlockExecutor {
         if (!conflicted_[i]) writes_[i].apply_to(state);
       }
     }
-    trace.phase_boundary();
 
     // Phase 2 (sequential bin, in block order). The conflict stall is the
     // apply work only — summed per transaction so span construction and
-    // per-tx tracer overhead stay out of the histogram, mirroring the
-    // sequential executor's phase-2 timing.
+    // per-tx tracer overhead stay out of the histogram.
     double stall_seconds = 0.0;
     std::size_t bin = 0;
     {
@@ -123,9 +121,7 @@ class SpeculativeExecutor final : public BlockExecutor {
           const auto apply_start = std::chrono::steady_clock::now();
           account::apply_transaction_into(state, transactions[i], config,
                                           report.receipts[i], bin_tracker);
-          stall_seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - apply_start)
-                               .count();
+          stall_seconds += seconds_since(apply_start);
         } else {
           account::apply_transaction_into(state, transactions[i], config,
                                           report.receipts[i], bin_tracker);
@@ -488,7 +484,6 @@ class OracleExecutor final : public BlockExecutor {
         if (ws.overlay.dirty()) ws.overlay.apply_to(state);
       }
     }
-    trace.phase_boundary();
 
     // Sequential phase, in block order. Stall = apply work only (see the
     // blind executor's bin).
@@ -508,9 +503,7 @@ class OracleExecutor final : public BlockExecutor {
           const auto apply_start = std::chrono::steady_clock::now();
           account::apply_transaction_into(state, transactions[i], config,
                                           report.receipts[i], bin_tracker);
-          stall_seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - apply_start)
-                               .count();
+          stall_seconds += seconds_since(apply_start);
         } else {
           account::apply_transaction_into(state, transactions[i], config,
                                           report.receipts[i], bin_tracker);

@@ -83,8 +83,6 @@ inline constexpr const char* kMetricExecExecutions = "exec.executions";
 inline constexpr const char* kMetricExecSequentialTxs =
     "exec.sequential_txs";
 inline constexpr const char* kMetricExecBlockWallUs = "exec.block_wall_us";
-inline constexpr const char* kMetricExecPhase1Us = "exec.phase1_us";
-inline constexpr const char* kMetricExecPhase2Us = "exec.phase2_us";
 inline constexpr const char* kMetricExecSeqBinTxs = "exec.seq_bin_txs";
 inline constexpr const char* kMetricExecConflictStallUs =
     "exec.conflict_stall_us";

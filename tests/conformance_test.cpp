@@ -318,6 +318,7 @@ TEST(ReproCommand, FormatAndParseRoundTrip) {
   EXPECT_THROW(parse_spec("bogus_key=1"), UsageError);
   EXPECT_THROW(parse_spec("no-equals-sign"), UsageError);
   EXPECT_THROW(parse_spec("threads=notanumber"), UsageError);
+  EXPECT_THROW(parse_spec("threads=-1"), UsageError);
 }
 
 // Replays the cell named by TXCONC_REPRO (printed by a failing sweep);

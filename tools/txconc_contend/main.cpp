@@ -13,15 +13,17 @@
 //   1  a gate failed (rate out of range, histogram does not cover the
 //      block, sink/engine abort tallies disagree, sound closure missed
 //      an observed address)
-//   2  usage error / unknown engine
+//   2  usage error (including a malformed number) / unknown engine
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "exec/contention_probe.h"
 #include "exec/executor.h"
 #include "exec/replay.h"
@@ -33,22 +35,13 @@ namespace {
 
 using namespace txconc;
 
-std::string registry_names() {
-  std::string names;
-  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    if (!names.empty()) names += ", ";
-    names += spec.name;
-  }
-  return names;
-}
-
 int usage() {
   std::cerr << "usage: txconc_contend [--engine=<name>] [--threads=N] "
                "[--blocks=N] [--seed=S]\n"
                "                      [--format=text|json] [--top=K] "
                "[--no-predict]\n"
                "  registered engines: "
-            << registry_names() << "\n";
+            << exec::registry_names() << "\n";
   return 2;
 }
 
@@ -116,18 +109,25 @@ int main(int argc, char** argv) {
     if (arg.rfind("--engine=", 0) == 0) {
       engine_filter = arg.substr(9);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-      if (threads == 0) return usage();
+      const auto n = parse_uint(arg.substr(10),
+                                std::numeric_limits<unsigned>::max());
+      if (!n || *n == 0) return usage();
+      threads = static_cast<unsigned>(*n);
     } else if (arg.rfind("--blocks=", 0) == 0) {
-      blocks = std::stoull(arg.substr(9));
-      if (blocks == 0) return usage();
+      const auto n = parse_uint(arg.substr(9));
+      if (!n || *n == 0) return usage();
+      blocks = *n;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
+      const auto n = parse_uint(arg.substr(7));
+      if (!n) return usage();
+      seed = *n;
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return usage();
     } else if (arg.rfind("--top=", 0) == 0) {
-      top_k = static_cast<std::size_t>(std::stoul(arg.substr(6)));
+      const auto k = parse_uint(arg.substr(6));
+      if (!k) return usage();
+      top_k = static_cast<std::size_t>(*k);
     } else if (arg == "--no-predict") {
       predict = false;
     } else {
@@ -143,7 +143,8 @@ int main(int argc, char** argv) {
   }
   if (specs.empty()) {
     std::cerr << "txconc_contend: unknown engine \"" << engine_filter
-              << "\"; registered engines: " << registry_names() << "\n";
+              << "\"; registered engines: " << exec::registry_names()
+              << "\n";
     return 2;
   }
 

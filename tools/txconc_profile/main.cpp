@@ -9,13 +9,15 @@
 // and the threads x wall attribution (obs/critpath.h). Exit codes:
 //   0  all blocks pass the attribution sanity gates
 //   1  a gate failed (sum off budget, untracked share too high)
-//   2  usage, I/O, or malformed/unanalyzable trace
+//   2  usage (including a malformed number), I/O, or a
+//      malformed/unanalyzable trace
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "obs/critpath.h"
 #include "obs/trace.h"
 
@@ -43,12 +45,17 @@ int main(int argc, char** argv) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return usage();
     } else if (arg.rfind("--top=", 0) == 0) {
-      top_k = static_cast<std::size_t>(std::stoul(arg.substr(6)));
-      if (top_k == 0) return usage();
+      const auto k = txconc::parse_uint(arg.substr(6));
+      if (!k || *k == 0) return usage();
+      top_k = static_cast<std::size_t>(*k);
     } else if (arg.rfind("--eps=", 0) == 0) {
-      eps = std::stod(arg.substr(6));
+      const auto v = txconc::parse_nonnegative(arg.substr(6));
+      if (!v) return usage();
+      eps = *v;
     } else if (arg.rfind("--untracked-max=", 0) == 0) {
-      untracked_max = std::stod(arg.substr(16));
+      const auto v = txconc::parse_nonnegative(arg.substr(16));
+      if (!v) return usage();
+      untracked_max = *v;
     } else if (arg.rfind("--engine=", 0) == 0) {
       // Profile only the blocks this engine executed (the trace process
       // name set by obs::ThreadProcessScope). Multi-engine traces like
