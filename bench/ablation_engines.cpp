@@ -80,17 +80,6 @@ std::vector<std::size_t> large_block_sizes() {
   return sizes;
 }
 
-// TXCONC_BENCH_INJECT_SLOWDOWN_PCT=<pct>: negative-control hook for
-// scripts/bench_gate — inflates the measured wall times so CI can assert
-// the gate actually fires. Applied only to non-sequential rows: sequential
-// is the speedup denominator, so slowing every row equally would cancel
-// out of the gated ratios.
-double injected_slowdown_factor() {
-  const char* pct = std::getenv("TXCONC_BENCH_INJECT_SLOWDOWN_PCT");
-  if (pct == nullptr) return 1.0;
-  return 1.0 + std::atof(pct) / 100.0;
-}
-
 // ---------------------------------------------------------- graph algorithms
 
 core::Tdg random_graph(std::size_t nodes, std::size_t edges,
@@ -135,16 +124,6 @@ void BM_ScheduleLpt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleLpt)->Arg(100)->Arg(10000);
-
-void BM_ScheduleList(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<double> jobs(static_cast<std::size_t>(state.range(0)));
-  for (double& j : jobs) j = 1.0 + static_cast<double>(rng.uniform(50));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schedule_list(jobs, 8));
-  }
-}
-BENCHMARK(BM_ScheduleList)->Arg(100)->Arg(10000);
 
 // -------------------------------------------------------------- substrates
 
@@ -408,7 +387,6 @@ void write_bench_exec_json() {
     double attempts_per_tx = 1.0;
   };
   std::vector<Row> rows;
-  const double inject = injected_slowdown_factor();
 
   for (const Cell& cell : cells) {
     // The 10k+ cells cost ~100x a base-block rep; 3 reps keep the CI
@@ -442,8 +420,6 @@ void write_bench_exec_json() {
         });
         if (spec.name == "sequential") {
           sequential_wall = row.wall.median_seconds;
-        } else if (inject != 1.0) {
-          row.wall.median_seconds *= inject;
         }
         row.wall_speedup = row.wall.median_seconds > 0.0
                                ? sequential_wall / row.wall.median_seconds
@@ -699,17 +675,11 @@ void write_bench_obs_json() {
 
   tracer.disable();
   const bench::RepetitionStats off = wall_stats(nullptr);
-  bench::RepetitionStats disabled = wall_stats(&obs::global_scope());
+  const bench::RepetitionStats disabled = wall_stats(&obs::global_scope());
   tracer.enable();
-  bench::RepetitionStats enabled = wall_stats(&obs::global_scope());
+  const bench::RepetitionStats enabled = wall_stats(&obs::global_scope());
   tracer.disable();
   tracer.clear();  // keep the overhead runs out of any exported trace
-
-  const double inject = injected_slowdown_factor();
-  if (inject != 1.0) {
-    disabled.median_seconds *= inject;
-    enabled.median_seconds *= inject;
-  }
 
   const double disabled_pct =
       off.median_seconds > 0.0

@@ -21,7 +21,6 @@ struct Row {
   double oracle_engine = 0.0;
   double group_bound = 0.0;  // eq. (2) with the engine's predicted l
   double group_engine = 0.0; // LPT-scheduled component executor
-  double group_list = 0.0;   // FIFO list scheduling ablation
   std::size_t blocks = 0;
 };
 
@@ -40,15 +39,13 @@ int main() {
   constexpr int kBlocks = 25;
 
   analysis::TextTable table({"cores", "spec eq.(1)", "spec engine",
-                             "oracle engine", "group eq.(2)", "group LPT",
-                             "group list"});
+                             "oracle engine", "group eq.(2)", "group LPT"});
 
   for (unsigned n : {2u, 4u, 8u, 16u, 64u}) {
     std::vector<std::unique_ptr<exec::BlockExecutor>> engines;
     engines.push_back(exec::make_speculative_executor(n));
     engines.push_back(exec::make_oracle_executor(n));
-    engines.push_back(exec::make_group_executor(n, /*use_lpt=*/true));
-    engines.push_back(exec::make_group_executor(n, /*use_lpt=*/false));
+    engines.push_back(exec::make_group_executor(n));
 
     Row row;
     for (auto& engine : engines) {
@@ -82,8 +79,6 @@ int main() {
       } else if (engine->name() == "group-lpt") {
         row.group_engine = mean_speedup;
         row.group_bound = mean_model;
-      } else if (engine->name() == "group-list") {
-        row.group_list = mean_speedup;
       }
       row.blocks = counted;
     }
@@ -92,8 +87,7 @@ int main() {
                analysis::fmt_double(row.spec_engine, 2),
                analysis::fmt_double(row.oracle_engine, 2),
                analysis::fmt_double(row.group_bound, 2),
-               analysis::fmt_double(row.group_engine, 2),
-               analysis::fmt_double(row.group_list, 2)});
+               analysis::fmt_double(row.group_engine, 2)});
   }
   std::cout << "mean per-block unit-cost speed-ups over " << kBlocks
             << " late-history Ethereum blocks:\n"
@@ -106,8 +100,6 @@ int main() {
          "  * \"group LPT\" approaches eq. (2)'s min(n, 1/l) bound, i.e.\n"
          "    the paper's assumption that the bound is a reasonable\n"
          "    approximation holds under LPT scheduling;\n"
-         "  * list scheduling trails LPT, quantifying the cost of naive\n"
-         "    scheduling (the multiprocessor-scheduling concern of V-B);\n"
          "  * the oracle engine beats blind speculation because conflicted\n"
          "    transactions execute once, not twice.\n";
   return 0;

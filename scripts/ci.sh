@@ -33,9 +33,11 @@
 #  * bench — benchmark regression gate: a fresh TXCONC_BENCH_FAST run of
 #    bench/ablation_engines is compared against the committed baselines in
 #    bench/baselines/ by scripts/bench_gate (hardware-portable ratios with
-#    per-metric tolerances), then a negative control re-runs the bench
-#    with TXCONC_BENCH_INJECT_SLOWDOWN_PCT=20 and asserts the gate FAILS —
-#    proving the lane has teeth. The same fresh run writes
+#    per-metric tolerances). A negative control gates a copy of the fresh
+#    BENCH_exec.json with every non-sequential wall time raised 20% against
+#    the fresh file and asserts the gate FAILS on its exec aggregate —
+#    proving the lane has teeth — and a positive control asserts the fresh
+#    file gated against itself passes. The same fresh run writes
 #    BENCH_profile.json (per-cell wall-clock attribution), gated by
 #    absolute invariants (sum within eps of threads x wall, bounded
 #    untracked share), and BENCH_contention.json (measured c/l, hot keys,
@@ -266,9 +268,9 @@ fi
 # --- bench lane: regression gate + negative control ------------------------
 # Gates hardware-portable ratios (wall_speedup / simulated_speedup /
 # tracer overhead) from a fresh fast-mode run against the committed
-# baselines, then proves the gate can fail by injecting a synthetic +20%
-# slowdown (applied to non-sequential rows only; see bench/ablation_engines
-# and DESIGN.md §12 for the tolerance rationale).
+# baselines, then proves the gate can fail on a doctored copy of that run
+# with a +20% slowdown (non-sequential rows only; see DESIGN.md §12 for
+# the tolerance rationale).
 if lane_enabled bench; then
   echo "== lane: bench =="
   if [ ! -x build/bench/ablation_engines ]; then
@@ -276,15 +278,11 @@ if lane_enabled bench; then
     cmake --build build -j"${JOBS}" --target ablation_engines
   fi
   BENCH_BIN="$(pwd)/build/bench/ablation_engines"
-  run_bench() {
-    # ablation_engines writes BENCH_*.json into the CWD; run it from a
-    # scratch dir so the gate never clobbers the committed files.
-    local out="$1"; shift
-    mkdir -p "${out}"
-    (cd "${out}" && env "$@" TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
-      "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
-  }
-  run_bench build/bench-fresh
+  # ablation_engines writes BENCH_*.json into the CWD; run it from a
+  # scratch dir so the gate never clobbers the committed files.
+  mkdir -p build/bench-fresh
+  (cd build/bench-fresh && env TXCONC_BENCH_FAST="${TXCONC_BENCH_FAST:-1}" \
+    "${BENCH_BIN}" --benchmark_filter='^$' > bench.log 2>&1)
   scripts/bench_gate --exec build/bench-fresh/BENCH_exec.json \
     --obs build/bench-fresh/BENCH_obs.json \
     --profile build/bench-fresh/BENCH_profile.json \
@@ -309,19 +307,42 @@ PYEOF
     exit 1
   fi
   echo "contend negative control OK: doctored measured_c tripped the gate"
-  # Negative control: the +20% injection must trip the gate. Gate the
-  # injected run against the same-session fresh run (not the committed
-  # baseline) so this check is insulated from host-to-host drift.
-  run_bench build/bench-inject TXCONC_BENCH_INJECT_SLOWDOWN_PCT=20
-  if scripts/bench_gate --exec build/bench-inject/BENCH_exec.json \
-       --obs build/bench-inject/BENCH_obs.json \
+  # Slowdown controls, deterministic because no second bench run is
+  # involved: the fresh file gated against itself must pass, and a copy
+  # with every non-sequential wall time raised 20% (sequential is the
+  # speedup denominator, so slowing it too would cancel out) must fail on
+  # the exec aggregate, whose median ratio is then exactly 1/1.2.
+  python3 - <<'PYEOF'
+import json
+with open("build/bench-fresh/BENCH_exec.json") as f:
+    doc = json.load(f)
+sequential_wall = {row["block_txs"]: row["wall_seconds"]
+                   for row in doc["results"] if row["executor"] == "sequential"}
+for row in doc["results"]:
+    if row["executor"] != "sequential":
+        row["wall_seconds"] *= 1.2
+        row["wall_speedup"] = (sequential_wall[row["block_txs"]] /
+                               row["wall_seconds"])
+with open("build/bench-fresh/BENCH_exec_slowed.json", "w") as f:
+    json.dump(doc, f)
+PYEOF
+  scripts/bench_gate --exec build/bench-fresh/BENCH_exec.json \
+    --baseline-exec build/bench-fresh/BENCH_exec.json
+  echo "bench positive control OK: the fresh run passes against itself"
+  if scripts/bench_gate --exec build/bench-fresh/BENCH_exec_slowed.json \
        --baseline-exec build/bench-fresh/BENCH_exec.json \
-       > build/bench-inject/gate.log 2>&1; then
-    echo "bench lane FAILED: injected +20% slowdown did not trip the gate"
-    cat build/bench-inject/gate.log
+       > build/bench-fresh/slowed.log 2>&1; then
+    echo "bench lane FAILED: +20% slowdown did not trip the gate"
+    cat build/bench-fresh/slowed.log
     exit 1
   fi
-  echo "bench negative control OK: injected slowdown tripped the gate"
+  if ! grep -q '^exec aggregate: .* FAIL$' build/bench-fresh/slowed.log; then
+    echo "bench lane FAILED: +20% slowdown failed the gate, but not on the"
+    echo "exec aggregate"
+    cat build/bench-fresh/slowed.log
+    exit 1
+  fi
+  echo "bench negative control OK: +20% slowdown tripped the exec aggregate"
 fi
 
 # --- node lane: node-path benchmark smoke + negative controls --------------

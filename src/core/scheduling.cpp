@@ -11,23 +11,6 @@ namespace txconc::core {
 
 namespace {
 
-Schedule greedy_in_order(std::span<const double> job_costs,
-                         std::span<const std::size_t> order, unsigned cores) {
-  Schedule s;
-  s.assignment.resize(cores);
-  s.loads.assign(cores, 0.0);
-  for (const std::size_t job : order) {
-    const auto it = std::min_element(s.loads.begin(), s.loads.end());
-    const std::size_t core = static_cast<std::size_t>(it - s.loads.begin());
-    s.assignment[core].push_back(job);
-    s.loads[core] += job_costs[job];
-  }
-  s.makespan = s.loads.empty()
-                   ? 0.0
-                   : *std::max_element(s.loads.begin(), s.loads.end());
-  return s;
-}
-
 void check(std::span<const double> job_costs, unsigned cores) {
   if (cores == 0) throw UsageError("schedule: cores must be positive");
   for (double c : job_costs) {
@@ -45,14 +28,17 @@ Schedule schedule_lpt(std::span<const double> job_costs, unsigned cores) {
                    [&](std::size_t a, std::size_t b) {
                      return job_costs[a] > job_costs[b];
                    });
-  return greedy_in_order(job_costs, order, cores);
-}
-
-Schedule schedule_list(std::span<const double> job_costs, unsigned cores) {
-  check(job_costs, cores);
-  std::vector<std::size_t> order(job_costs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return greedy_in_order(job_costs, order, cores);
+  Schedule s;
+  s.assignment.resize(cores);
+  s.loads.assign(cores, 0.0);
+  for (const std::size_t job : order) {
+    const auto it = std::min_element(s.loads.begin(), s.loads.end());
+    const std::size_t core = static_cast<std::size_t>(it - s.loads.begin());
+    s.assignment[core].push_back(job);
+    s.loads[core] += job_costs[job];
+  }
+  s.makespan = *std::max_element(s.loads.begin(), s.loads.end());
+  return s;
 }
 
 double makespan_lower_bound(std::span<const double> job_costs,

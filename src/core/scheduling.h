@@ -3,7 +3,7 @@
 // Executing a block under group concurrency means assigning each connected
 // component (a sequential job) to one of n cores; minimizing the makespan
 // is the classic NP-hard multiprocessor scheduling problem the paper cites
-// (Kasahara & Narita). We provide the standard heuristics plus an exact
+// (Kasahara & Narita). We provide the LPT heuristic plus an exact
 // solver for small instances (used by tests and ablations).
 #pragma once
 
@@ -24,13 +24,9 @@ struct Schedule {
 };
 
 /// Longest Processing Time first: sort jobs by decreasing cost, place each
-/// on the least-loaded core. 4/3-approximation; the default policy of the
-/// group executor.
+/// on the least-loaded core. 4/3-approximation; the group executor's
+/// policy.
 Schedule schedule_lpt(std::span<const double> job_costs, unsigned cores);
-
-/// List scheduling in the given order (greedy, no sorting).
-/// 2-approximation; models an online scheduler that cannot sort.
-Schedule schedule_list(std::span<const double> job_costs, unsigned cores);
 
 /// Exact minimum makespan via branch-and-bound. Only feasible for small
 /// instances (roughly <= 20 jobs); throws UsageError beyond 24 jobs.

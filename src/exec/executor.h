@@ -109,8 +109,7 @@ std::unique_ptr<BlockExecutor> make_oracle_executor(unsigned num_threads);
 /// reachable contract call targets), partitions transactions into
 /// connected components, and schedules the components onto worker threads
 /// with LPT. Sequential inside a component, parallel across components.
-std::unique_ptr<BlockExecutor> make_group_executor(unsigned num_threads,
-                                                   bool use_lpt = true);
+std::unique_ptr<BlockExecutor> make_group_executor(unsigned num_threads);
 
 /// A named executor family: a stable identifier (used in conformance repro
 /// commands and BENCH_exec.json) plus a factory over the thread count.

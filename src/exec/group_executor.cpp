@@ -117,10 +117,7 @@ namespace {
 
 class GroupExecutor final : public BlockExecutor {
  public:
-  GroupExecutor(unsigned num_threads, bool use_lpt)
-      : label_(use_lpt ? "group-lpt" : "group-list"),
-        pool_(num_threads, label_),
-        use_lpt_(use_lpt) {}
+  explicit GroupExecutor(unsigned num_threads) : pool_(num_threads, kLabel) {}
 
   ExecutionReport execute_block(
       account::StateDb& state,
@@ -128,7 +125,7 @@ class GroupExecutor final : public BlockExecutor {
       const account::RuntimeConfig& config) override {
     obs::Tracer* const tracer = obs::tracer(config.obs);
     obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc(label_);
+    const obs::ThreadProcessScope proc(kLabel);
     const obs::CausalSpan block_span(
         tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
         config.trace, static_cast<std::int64_t>(transactions.size()));
@@ -169,8 +166,7 @@ class GroupExecutor final : public BlockExecutor {
       for (const auto& job : jobs) {
         costs.push_back(static_cast<double>(job.size()));
       }
-      schedule = use_lpt_ ? core::schedule_lpt(costs, pool_.size())
-                          : core::schedule_list(costs, pool_.size());
+      schedule = core::schedule_lpt(costs, pool_.size());
     }
 
     // Execute: each worker runs its assigned components sequentially on a
@@ -247,20 +243,18 @@ class GroupExecutor final : public BlockExecutor {
     return report;
   }
 
-  std::string name() const override { return label_; }
+  std::string name() const override { return kLabel; }
 
  private:
-  const char* label_;  // string literal; doubles as the trace process
+  static constexpr const char* kLabel = "group-lpt";  // also the trace process
   ThreadPool pool_;
-  bool use_lpt_;
   std::vector<WorkerScratch> scratch_;  // per core, reused across blocks
 };
 
 }  // namespace
 
-std::unique_ptr<BlockExecutor> make_group_executor(unsigned num_threads,
-                                                   bool use_lpt) {
-  return std::make_unique<GroupExecutor>(num_threads, use_lpt);
+std::unique_ptr<BlockExecutor> make_group_executor(unsigned num_threads) {
+  return std::make_unique<GroupExecutor>(num_threads);
 }
 
 }  // namespace txconc::exec

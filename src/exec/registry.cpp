@@ -20,8 +20,6 @@ const std::vector<ExecutorSpec>& executor_registry() {
       {"oracle-speculative", true,
        [](unsigned n) { return make_oracle_executor(n); }},
       {"group-lpt", true, [](unsigned n) { return make_group_executor(n); }},
-      {"group-list", true,
-       [](unsigned n) { return make_group_executor(n, /*use_lpt=*/false); }},
       {"block-stm", true,
        [](unsigned n) { return make_block_stm_executor(n); },
        /*multi_version=*/true},

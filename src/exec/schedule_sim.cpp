@@ -49,16 +49,14 @@ SimOutcome simulate_oracle(std::size_t x, std::size_t num_conflicted,
 }
 
 SimOutcome simulate_group(std::span<const double> component_sizes,
-                          unsigned cores, double k_preprocess, bool use_lpt) {
+                          unsigned cores, double k_preprocess) {
   if (cores == 0) throw UsageError("simulate_group: cores must be > 0");
   if (k_preprocess < 0.0) throw UsageError("simulate_group: negative K");
   const double x =
       std::accumulate(component_sizes.begin(), component_sizes.end(), 0.0);
-  const core::Schedule schedule =
-      use_lpt ? core::schedule_lpt(component_sizes, cores)
-              : core::schedule_list(component_sizes, cores);
-  return outcome_for(static_cast<std::size_t>(x),
-                     k_preprocess + schedule.makespan);
+  return outcome_for(
+      static_cast<std::size_t>(x),
+      k_preprocess + core::schedule_lpt(component_sizes, cores).makespan);
 }
 
 }  // namespace txconc::exec

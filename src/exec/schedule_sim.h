@@ -29,9 +29,8 @@ SimOutcome simulate_oracle(std::size_t x, std::size_t num_conflicted,
 
 /// Group-concurrency execution: connected components (job = component,
 /// cost = component size) scheduled onto cores; sequential inside a
-/// component. Uses LPT by default.
+/// component. Components go onto cores by LPT.
 SimOutcome simulate_group(std::span<const double> component_sizes,
-                          unsigned cores, double k_preprocess = 0.0,
-                          bool use_lpt = true);
+                          unsigned cores, double k_preprocess = 0.0);
 
 }  // namespace txconc::exec

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "account/runtime.h"
@@ -73,7 +74,7 @@ TEST(DifferentialOracle, ExecutorZooMatchesSequentialAcrossGrid) {
 TEST(DifferentialOracle, AblationVariantsMatchSequential) {
   GridOptions options;
   options.profiles = {"ethereum"};
-  options.executors = {"speculative-fww", "group-list"};
+  options.executors = {"speculative-fww"};
   options.thread_grid = {3};
   options.num_schedule_seeds = 2;
   options.num_blocks = 3;
@@ -461,8 +462,14 @@ TEST(UsageErrors, ExecutorConstructorsValidateArguments) {
 
 TEST(UsageErrors, RegistryCoversTheWholeZoo) {
   const std::vector<exec::ExecutorSpec>& registry = exec::executor_registry();
-  ASSERT_GE(registry.size(), 7u);
-  EXPECT_EQ(registry.front().name, "sequential");
+  // Exact and ordered: a dropped or re-added engine must fail here.
+  const std::vector<std::string> expected = {
+      "sequential",         "speculative", "speculative-fww",
+      "oracle-speculative", "group-lpt",   "block-stm"};
+  std::vector<std::string> names;
+  for (const exec::ExecutorSpec& spec : registry) names.push_back(spec.name);
+  EXPECT_EQ(names, expected);
+  ASSERT_FALSE(registry.empty());
   EXPECT_FALSE(registry.front().parallel);
   // Registry names match the executors' self-reported names.
   for (const exec::ExecutorSpec& spec : registry) {

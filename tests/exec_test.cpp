@@ -474,7 +474,6 @@ TEST_F(ExecutorRig, AllExecutorsMatchSequentialState) {
       make_speculative_executor(4, AbortPolicy::kFirstWriterWins));
   others.push_back(make_oracle_executor(4));
   others.push_back(make_group_executor(4));
-  others.push_back(make_group_executor(4, /*use_lpt=*/false));
   others.push_back(make_speculative_executor(1));  // degenerate pool
   for (auto& executor : others) {
     const auto [state, report] = run(*executor);
