@@ -21,7 +21,7 @@ struct Row {
   double oracle_engine = 0.0;
   double group_bound = 0.0;  // eq. (2) with the engine's predicted l
   double group_engine = 0.0; // LPT-scheduled component executor
-  std::size_t blocks = 0;
+  std::size_t blocks = 0;     // non-empty blocks the means are over
 };
 
 }  // namespace
@@ -38,8 +38,9 @@ int main() {
   const std::uint64_t skip = profile.default_blocks * 3 / 4;
   constexpr int kBlocks = 25;
 
-  analysis::TextTable table({"cores", "spec eq.(1)", "spec engine",
-                             "oracle engine", "group eq.(2)", "group LPT"});
+  analysis::TextTable table({"cores", "blocks", "spec eq.(1)",
+                             "spec engine", "oracle engine", "group eq.(2)",
+                             "group LPT"});
 
   for (unsigned n : {2u, 4u, 8u, 16u, 64u}) {
     std::vector<std::unique_ptr<exec::BlockExecutor>> engines;
@@ -68,6 +69,7 @@ int main() {
           mean_model += core::GroupModel::speedup_bound(n, c);
         }
       }
+      if (counted == 0) continue;  // every block was empty: no mean
       mean_speedup /= static_cast<double>(counted);
       mean_model /= static_cast<double>(counted);
 
@@ -83,14 +85,15 @@ int main() {
       row.blocks = counted;
     }
 
-    table.row({std::to_string(n), analysis::fmt_double(row.spec_model, 2),
+    table.row({std::to_string(n), std::to_string(row.blocks),
+               analysis::fmt_double(row.spec_model, 2),
                analysis::fmt_double(row.spec_engine, 2),
                analysis::fmt_double(row.oracle_engine, 2),
                analysis::fmt_double(row.group_bound, 2),
                analysis::fmt_double(row.group_engine, 2)});
   }
-  std::cout << "mean per-block unit-cost speed-ups over " << kBlocks
-            << " late-history Ethereum blocks:\n"
+  std::cout << "mean per-block unit-cost speed-ups over the non-empty "
+               "late-history Ethereum blocks:\n"
             << table.render() << "\n";
 
   std::cout

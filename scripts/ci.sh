@@ -5,7 +5,9 @@
 #    a TXCONC_REPRO replay of one block-stm conformance cell ("repro OK"),
 #    then an observability smoke: a traced ablation_engines run must
 #    emit a valid, non-empty Chrome trace AND the critpath profiler's
-#    attribution sum invariant must hold for every engine ("profile OK");
+#    attribution sum invariant must hold for every engine ("profile OK"),
+#    and on x86-64 the sequential block paths' prefetcht0 instructions
+#    must be in the built objects ("prefetch OK");
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
 #    memory errors and UB under the thread pool's chunked parallel_for;
 #    common_test + chain_test put the SHA-NI kernel's unaligned loads,
@@ -115,6 +117,23 @@ if lane_enabled tier1; then
   grep -q "profile OK" build/obs_smoke.log
   test -s build/obs_smoke_trace.json
   echo "obs smoke OK: build/obs_smoke_trace.json"
+  # The sequential block paths' account prefetches (DESIGN.md §24) are
+  # hints a compiler may delete as dead code; require the instructions
+  # in the built objects.
+  if [ "$(uname -m)" = x86_64 ]; then
+    # grep -c reads all of objdump's output: grep -q would stop early, and
+    # the SIGPIPE would fail the pipeline under pipefail.
+    for obj in build/src/exec/CMakeFiles/txconc_exec.dir/sequential.cpp.o \
+               build/src/chain/CMakeFiles/txconc_chain.dir/node.cpp.o; do
+      n="$(objdump -d "${obj}" | grep -c prefetcht0 || true)"
+      if [ "${n}" -eq 0 ]; then
+        echo "no prefetcht0 in ${obj}"; exit 1
+      fi
+    done
+    echo "prefetch OK: sequential.cpp and node.cpp objects prefetch"
+  else
+    echo "prefetch check skipped: prefetcht0 is x86-64 only, this is $(uname -m)"
+  fi
 fi
 
 # --- ASan/UBSan over the execution layer -----------------------------------

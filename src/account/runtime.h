@@ -4,6 +4,10 @@
 // speculative, group-scheduled) uses to run one transaction against a State.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <span>
+
 #include "account/state.h"
 #include "account/types.h"
 #include "account/vm.h"
@@ -111,6 +115,35 @@ void apply_transaction_into(State& state, const AccountTx& tx,
 /// allocations. Must stay in lockstep with apply_transaction's checks.
 const char* precheck_transaction(const State& state, const AccountTx& tx,
                                  const RuntimeConfig& config);
+
+/// How many transactions ahead of the one being applied the sequential
+/// block paths prefetch accounts (DESIGN.md §24.2).
+inline constexpr std::size_t kPrefetchDistance = 8;
+
+/// Call fn(i) for every index of txs in order, the loop of the sequential
+/// block paths. Before each call it prefetches the sender's and
+/// receiver's account slots of transaction i + kPrefetchDistance (the
+/// first kPrefetchDistance before the first call), so that a
+/// transaction's first account touch finds its slot in cache. The
+/// prefetches read only transactions after i, so fn may move from the
+/// ones up to i through its own handle.
+template <typename Fn>
+void for_each_prefetched(const StateDb& state,
+                         std::span<const AccountTx> txs, Fn&& fn) {
+  const auto prefetch = [&](const AccountTx& tx) {
+    state.prefetch(tx.from);
+    if (tx.to) state.prefetch(*tx.to);
+  };
+  for (std::size_t i = 0; i < std::min(kPrefetchDistance, txs.size()); ++i) {
+    prefetch(txs[i]);
+  }
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (i + kPrefetchDistance < txs.size()) {
+      prefetch(txs[i + kPrefetchDistance]);
+    }
+    fn(i);
+  }
+}
 
 /// Install a contract at an address without a creation transaction
 /// (genesis-style bootstrap used by tests and the workload generator).

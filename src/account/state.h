@@ -160,6 +160,13 @@ class StateDb final : public State {
   Snapshot snapshot() const override;
   void revert(Snapshot snap) override;
 
+  /// Start loading addr's account slot into cache ahead of its first
+  /// touch. A hint only: it changes nothing a lookup, digest or dirty
+  /// list can observe (DESIGN.md §24).
+  TXCONC_HOT void prefetch(const Address& addr) const {
+    accounts_.prefetch(addr);
+  }
+
   /// Drop the journal (changes become permanent; snapshots invalidated).
   /// A no-op while a JournalHold is held.
   TXCONC_HOT void flush_journal();

@@ -14,6 +14,32 @@ struct Fault {
   std::string reason;
 };
 
+/// The operand stack every frame on this thread shares (DESIGN.md §24).
+/// A frame works above the depth it entered at, so its capacity carries
+/// over from frame to frame and transaction to transaction, and a warm
+/// contract call allocates nothing.
+thread_local std::vector<std::uint64_t> operand_stack;
+
+/// Truncates the shared stack back to a frame's entry depth on every way
+/// out of the frame, exceptions included, so a caller's operands are
+/// exactly as it left them.
+class FrameStack {
+ public:
+  FrameStack() : stack_(operand_stack), base_(stack_.size()) {}
+  ~FrameStack() { stack_.resize(base_); }
+
+  FrameStack(const FrameStack&) = delete;
+  FrameStack& operator=(const FrameStack&) = delete;
+
+  /// Operands this frame has pushed and not popped.
+  std::size_t depth() const { return stack_.size() - base_; }
+  std::vector<std::uint64_t>& operands() { return stack_; }
+
+ private:
+  std::vector<std::uint64_t>& stack_;
+  const std::size_t base_;
+};
+
 }  // namespace
 
 VmResult Vm::execute(const ContractCode& contract, const CallContext& context,
@@ -29,7 +55,8 @@ VmResult Vm::execute(const ContractCode& contract, const CallContext& context,
 
   const Snapshot frame_snapshot = state_.snapshot();
   std::uint64_t gas_left = gas_limit;
-  std::vector<std::uint64_t> stack;
+  FrameStack frame;
+  std::vector<std::uint64_t>& stack = frame.operands();
   const Bytes& code = contract.code;
   std::size_t pc = 0;
 
@@ -38,13 +65,13 @@ VmResult Vm::execute(const ContractCode& contract, const CallContext& context,
     gas_left -= amount;
   };
   auto pop = [&]() -> std::uint64_t {
-    if (stack.empty()) throw Fault{"stack underflow"};
+    if (frame.depth() == 0) throw Fault{"stack underflow"};
     const std::uint64_t v = stack.back();
     stack.pop_back();
     return v;
   };
   auto push = [&](std::uint64_t v) {
-    if (stack.size() >= limits_.max_stack) throw Fault{"stack overflow"};
+    if (frame.depth() >= limits_.max_stack) throw Fault{"stack overflow"};
     stack.push_back(v);
   };
   auto imm_u64 = [&]() -> std::uint64_t {
@@ -87,12 +114,12 @@ VmResult Vm::execute(const ContractCode& contract, const CallContext& context,
           pop();
           break;
         case OpCode::kDup: {
-          if (stack.empty()) throw Fault{"dup on empty stack"};
+          if (frame.depth() == 0) throw Fault{"dup on empty stack"};
           push(stack.back());
           break;
         }
         case OpCode::kSwap: {
-          if (stack.size() < 2) throw Fault{"swap needs two items"};
+          if (frame.depth() < 2) throw Fault{"swap needs two items"};
           std::swap(stack[stack.size() - 1], stack[stack.size() - 2]);
           break;
         }

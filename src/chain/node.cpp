@@ -179,7 +179,7 @@ Block<account::AccountTx> AccountNode::produce_block(
       progress = false;
       ++passes;
       std::size_t kept = 0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
+      account::for_each_prefetched(state_, candidates, [&](std::size_t i) {
         account::AccountTx& tx = candidates[i];
         if (included.size() >= config_.max_block_txs ||
             tx.gas_limit > gas_budget) {
@@ -202,7 +202,7 @@ Block<account::AccountTx> AccountNode::produce_block(
         } else {
           ++drops;  // stale nonce or drained balance
         }
-      }
+      });
       candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(kept),
                        candidates.end());
     }

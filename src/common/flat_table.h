@@ -23,6 +23,19 @@
 
 namespace txconc::common {
 
+/// Start loading the cache line holding `p` into every cache level.
+///
+/// On x86-64 this is an asm volatile prefetcht0, because GCC 12 drops
+/// __builtin_prefetch (and _mm_prefetch) from FlatTable::prefetch's
+/// callers; the builtin serves the other targets (DESIGN.md §24.4).
+inline void prefetch_line(const void* p) {
+#if defined(__x86_64__)
+  asm volatile("prefetcht0 %0" : : "m"(*static_cast<const char*>(p)));
+#else
+  __builtin_prefetch(p);
+#endif
+}
+
 /// Open-addressed, linear-probing hash map over a power-of-two slot array.
 ///
 /// Key and Value must be default-constructible and copyable. Deletion uses
@@ -72,6 +85,15 @@ class FlatTable {
   }
 
   TXCONC_HOT bool contains(const Key& key) const { return find(key) != nullptr; }
+
+  /// Hint that `key` is about to be looked up: start loading both cache
+  /// lines its home slot may span. Changes nothing the table reports; a
+  /// key that probes past its home slot still pays for the later slots.
+  TXCONC_HOT void prefetch(const Key& key) const {
+    const Slot& slot = slots_[Hash{}(key) & (slots_.size() - 1)];
+    prefetch_line(&slot);
+    prefetch_line(reinterpret_cast<const char*>(&slot) + sizeof(Slot) - 1);
+  }
 
   /// Value for key, default-constructing (and inserting) when absent.
   TXCONC_HOT Value& operator[](const Key& key) {

@@ -29,7 +29,7 @@ class SequentialExecutor final : public BlockExecutor {
     {
       const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
                                  obs::names::kCatExec, block_span.context());
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
+      account::for_each_prefetched(state, transactions, [&](std::size_t i) {
         const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
                             obs::names::kCatExec,
                             static_cast<long long>(i));
@@ -38,7 +38,7 @@ class SequentialExecutor final : public BlockExecutor {
         // runtime-level allocation wins as the parallel engines.
         account::apply_transaction_into(state, transactions[i], config,
                                         report.receipts[i], tracker_);
-      }
+      });
     }
     {
       const obs::CausalSpan span(tracer, obs::names::kSpanCommit,

@@ -200,11 +200,20 @@ class VmTest : public ::testing::Test {
     hooks.traces = &traces_;
     hooks.tracker = &tracker_;
     hooks.logs = &logs_;
-    Vm vm(db_);
+    Vm vm(db_, gas_, limits_);
     return vm.execute(code, ctx, gas, hooks);
   }
 
+  /// Only storage ops cost gas, so a caller keeps running after a child's
+  /// fault or out-of-gas has consumed the rest of its budget.
+  void make_plain_ops_free() {
+    gas_.base_op = 0;
+    gas_.call = 0;
+  }
+
   StateDb db_;
+  GasSchedule gas_;
+  VmLimits limits_;
   std::vector<std::uint64_t> args_;
   std::uint64_t value_ = 0;
   std::vector<InternalTx> traces_;
@@ -479,6 +488,98 @@ TEST_F(VmTest, CallDepthLimitEnforced) {
   // completes (inner failure surfaces as a 0 return).
   ASSERT_TRUE(r.success) << r.error;
   EXPECT_EQ(r.return_value, 0u);
+}
+
+// Every frame shares one operand stack per thread but works above the
+// depth it entered at, so stack limits and faults stay per frame.
+
+TEST_F(VmTest, CalleeUnderflowDoesNotConsumeCallerOperands) {
+  make_plain_ops_free();
+  Assembler callee;
+  callee.op(OpCode::kAdd).op(OpCode::kReturn);  // pops two it never pushed
+  genesis_deploy(db_, addr(55), ContractCode{callee.build(), {}});
+
+  ContractCode caller;
+  Assembler a;
+  a.push(20).push(22);  // the caller's own operands
+  a.push(0).push(0).push(0).op(OpCode::kCall);
+  a.op(OpCode::kPop).op(OpCode::kAdd).op(OpCode::kReturn);
+  caller.code = a.build();
+  caller.address_table = {addr(55)};
+
+  const VmResult r = run(caller);
+  ASSERT_TRUE(r.success) << r.error;
+  // Had the callee reached 20 and 22 it would have returned 42 and the
+  // caller's kAdd would have underflowed.
+  EXPECT_EQ(r.return_value, 42u);
+  ASSERT_EQ(traces_.size(), 1u);
+
+  // The same callee as a top frame on this thread, right after a caller
+  // that returned with operands left on its stack, underflows at once.
+  const VmResult alone = run(ContractCode{callee.build(), {}}, 5000);
+  EXPECT_FALSE(alone.success);
+  EXPECT_EQ(alone.error, "fault: stack underflow");
+}
+
+TEST_F(VmTest, CalleeGetsFullStackLimitWhileCallerHoldsOperands) {
+  make_plain_ops_free();
+  limits_.max_stack = 8;
+  Assembler fills;  // exactly max_stack pushes, then return the top
+  for (std::uint64_t i = 1; i <= 8; ++i) fills.push(i);
+  fills.op(OpCode::kReturn);
+  genesis_deploy(db_, addr(55), ContractCode{fills.build(), {}});
+  Assembler overfills;
+  for (std::uint64_t i = 1; i <= 9; ++i) overfills.push(i);
+  genesis_deploy(db_, addr(56), ContractCode{overfills.build(), {}});
+
+  ContractCode caller;
+  Assembler a;
+  a.push(1).push(2).push(3).push(4);  // four operands held across the calls
+  a.push(0).push(0).push(0).op(OpCode::kCall);  // 8
+  a.push(1).push(0).push(0).op(OpCode::kCall);  // overflow: 0
+  a.op(OpCode::kAdd).op(OpCode::kAdd).op(OpCode::kAdd).op(OpCode::kAdd);
+  a.op(OpCode::kAdd).op(OpCode::kReturn);
+  caller.code = a.build();
+  caller.address_table = {addr(55), addr(56)};
+
+  const VmResult r = run(caller);
+  ASSERT_TRUE(r.success) << r.error;
+  EXPECT_EQ(r.return_value, 1u + 2 + 3 + 4 + 8 + 0);
+}
+
+TEST_F(VmTest, CallerOperandsSurviveChildRevertFaultAndOutOfGas) {
+  make_plain_ops_free();
+  // Each child leaves operands behind when it fails.
+  Assembler reverts;
+  reverts.push(7).push(7).op(OpCode::kRevert);
+  genesis_deploy(db_, addr(55), ContractCode{reverts.build(), {}});
+  Assembler starves;  // kSload is the one op that still costs gas
+  starves.push(7).push(7);
+  starves.label("loop").push(1).op(OpCode::kSload).jump("loop");
+  genesis_deploy(db_, addr(56), ContractCode{starves.build(), {}});
+  Assembler faults;
+  faults.push(7).push(7);
+  ContractCode faulting{faults.build(), {}};
+  faulting.code.push_back(0xff);  // unknown opcode
+  genesis_deploy(db_, addr(57), faulting);
+
+  ContractCode caller;
+  Assembler a;
+  a.push(40);
+  a.push(0).push(0).push(0).op(OpCode::kCall);  // reverted: 0
+  a.push(1).push(0).push(0).op(OpCode::kCall);  // out of gas: 0
+  a.push(2).push(0).push(0).op(OpCode::kCall);  // faulted: 0
+  a.push(2);
+  a.op(OpCode::kAdd).op(OpCode::kAdd).op(OpCode::kAdd).op(OpCode::kAdd);
+  a.op(OpCode::kReturn);
+  caller.code = a.build();
+  caller.address_table = {addr(55), addr(56), addr(57)};
+
+  const VmResult r = run(caller, 50'000);
+  ASSERT_TRUE(r.success) << r.error;
+  EXPECT_EQ(r.return_value, 42u);
+  EXPECT_EQ(traces_.size(), 3u);  // every child ran
+  EXPECT_EQ(r.gas_used, 50'000u);  // the starving child took the budget
 }
 
 // ----------------------------------------------------------------- contracts
@@ -1326,6 +1427,7 @@ TEST(StateDbDifferential, MatchesMapModelAcrossGrowthAndJournaling) {
     if (op < 30) {
       const Address& a = pick();
       const std::uint64_t v = rng.uniform(1'000'000);
+      db.prefetch(a);
       db.set_balance(a, v);
       ref.set_balance(a, v);
     } else if (op < 40) {
@@ -1349,6 +1451,7 @@ TEST(StateDbDifferential, MatchesMapModelAcrossGrowthAndJournaling) {
     } else if (op < 80) {
       const Address a = rng.bernoulli(0.1) ? addr(7'000'000 + step) : pick();
       const StorageKey k = key();
+      db.prefetch(a);  // a hint: present or absent, it changes nothing
       ASSERT_EQ(db.balance(a), ref.balance(a)) << "step " << step;
       ASSERT_EQ(db.nonce(a), ref.nonce(a)) << "step " << step;
       ASSERT_EQ(db.storage(a, k), ref.storage(a, k)) << "step " << step;
@@ -1411,6 +1514,46 @@ TEST(StateDbDifferential, MatchesMapModelAcrossGrowthAndJournaling) {
   for (const Address& a : crafted) {
     EXPECT_EQ(db.account_digest(a), ref.account_digest(a));
   }
+}
+
+// prefetch() is a hint: present, absent and colliding addresses, on the
+// 16-slot table and right after its first doubling, leave the digest,
+// the account count, the dirty list and every lookup as they were.
+TEST(StateDbPrefetch, IsOnlyAHint) {
+  StateDb db;
+  const std::vector<Address> colliding = colliding_addresses(4);
+  std::vector<Address> probe = colliding;  // [0, 2) written, [2, 4) absent
+  for (std::uint64_t s = 1; s <= 16; ++s) probe.push_back(addr(s));
+  for (std::uint64_t s = 900; s < 904; ++s) probe.push_back(addr(s));
+  const auto expect_prefetch_changes_nothing = [&] {
+    const Hash256 digest = db.digest();
+    const std::size_t accounts = db.num_accounts();
+    const std::vector<Address> dirty = db.dirty_accounts();
+    std::vector<std::uint64_t> lookups;
+    for (const Address& a : probe) {
+      lookups.push_back(db.balance(a));
+      lookups.push_back(db.nonce(a));
+    }
+    for (const Address& a : probe) db.prefetch(a);
+    EXPECT_EQ(db.digest(), digest);
+    EXPECT_EQ(db.num_accounts(), accounts);
+    EXPECT_EQ(db.dirty_accounts(), dirty);
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+      EXPECT_EQ(db.balance(probe[i]), lookups[2 * i]) << i;
+      EXPECT_EQ(db.nonce(probe[i]), lookups[2 * i + 1]) << i;
+    }
+  };
+
+  db.set_balance(colliding[0], 10);
+  db.set_nonce(colliding[1], 3);
+  for (std::uint64_t s = 1; s <= 4; ++s) db.set_balance(addr(s), s);
+  ASSERT_EQ(db.num_accounts(), 6u);  // within the minimum 16 slots
+  expect_prefetch_changes_nothing();
+
+  // The 13th account passes the 3/4 load factor and doubles the table.
+  for (std::uint64_t s = 5; s <= 11; ++s) db.set_balance(addr(s), s);
+  ASSERT_EQ(db.num_accounts(), 13u);
+  expect_prefetch_changes_nothing();
 }
 
 // ----------------------------------------- account-table growth mid-call

@@ -14,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "account/contracts.h"
 #include "account/runtime.h"
 #include "account/state_trie.h"
 #include "account/state.h"
@@ -162,6 +163,51 @@ TEST(FlatTable, SteadyStateClearAndRefillIsAllocationFree) {
       << "clear()+refill of a warm FlatTable must not touch the heap";
 }
 
+/// Sends every key to one of two home slots, so keys share probe chains.
+struct TwoSlotHash {
+  std::size_t operator()(std::uint64_t key) const noexcept { return key & 1; }
+};
+
+// prefetch() is a hint: for present, absent and colliding keys, at the
+// minimum capacity and right after a growth, it leaves size, capacity
+// and every lookup as they were, and never allocates.
+TEST(FlatTable, PrefetchIsOnlyAHint) {
+  FlatTable<std::uint64_t, std::uint64_t, TwoSlotHash> table;
+  const auto snapshot = [&] {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      const std::uint64_t* v = table.find(k);
+      out.push_back(v == nullptr ? ~std::uint64_t{0} : *v);
+    }
+    return out;
+  };
+  const auto prefetch_all = [&] {
+    const std::uint64_t before = allocations();
+    for (std::uint64_t k = 0; k < 64; ++k) table.prefetch(k);
+    EXPECT_EQ(allocations() - before, 0u);
+  };
+
+  for (std::uint64_t k = 0; k < 6; ++k) table[k * 2] = k + 100;
+  ASSERT_EQ(table.capacity(), 16u);  // still the minimum
+  const std::vector<std::uint64_t> small = snapshot();
+  prefetch_all();
+  EXPECT_EQ(table.size(), 6u);
+  EXPECT_EQ(table.capacity(), 16u);
+  EXPECT_EQ(snapshot(), small);
+
+  std::uint64_t next = 12;
+  while (table.capacity() == 16u) {
+    table[next] = next + 100;
+    ++next;
+  }
+  const std::vector<std::uint64_t> grown = snapshot();
+  const std::size_t size = table.size();
+  prefetch_all();
+  EXPECT_EQ(table.size(), size);
+  EXPECT_EQ(table.capacity(), 32u);
+  EXPECT_EQ(snapshot(), grown);
+}
+
 TEST(FlatSet, InsertContainsClear) {
   FlatSet<std::uint64_t> set;
   EXPECT_TRUE(set.insert(5));
@@ -304,6 +350,46 @@ TEST_F(PerTxHotPath, PrecheckRejectionPathDoesNotAllocate) {
   }
   EXPECT_EQ(allocations() - before, 0u)
       << "precheck is a predicate: no exceptions, no strings, no heap";
+}
+
+// A contract call whose frame makes a nested kCall: relay A forwards to
+// relay B, which forwards to a plain account. Every frame shares the
+// thread's operand stack, so once it is warm the call allocates nothing,
+// just like the plain transfers above.
+TEST(ContractCallHotPath, WarmNestedCallDoesNotAllocate) {
+  account::StateDb base;
+  const Address sender = addr(1);
+  const Address outer = addr(2);
+  const Address inner = addr(3);
+  base.set_balance(sender, 1'000'000'000);
+  account::genesis_deploy(base, outer, account::contracts::relay(inner));
+  account::genesis_deploy(base, inner, account::contracts::relay(addr(4)));
+  base.flush_journal();
+
+  account::AccountTx tx;
+  tx.from = sender;
+  tx.to = outer;
+  tx.value = 9;
+  tx.args = {5};
+  tx.gas_limit = 100'000;
+  const account::RuntimeConfig config;
+  exec::WorkerScratch ws;
+  account::Receipt receipt;
+  const auto apply = [&] {
+    ws.overlay.reset(base);
+    account::apply_transaction_into(ws.overlay, tx, config, receipt,
+                                    ws.tracker);
+  };
+
+  apply();  // warm the receipt, tracker, overlay and operand stack
+  const std::uint64_t before = allocations();
+  for (int round = 0; round < 100; ++round) apply();
+  EXPECT_EQ(allocations() - before, 0u)
+      << "a warm contract call with a nested kCall must not allocate";
+  ASSERT_TRUE(receipt.success) << receipt.error;
+  EXPECT_EQ(receipt.return_value, 3u);  // two relay hops, plain-send 1
+  EXPECT_EQ(receipt.internal_txs.size(), 2u);
+  EXPECT_EQ(ws.overlay.balance(addr(4)), 9u);
 }
 
 // Engine-level regression bound: a warmed speculative executor's
