@@ -50,10 +50,6 @@ inline LabelledSeries years(const analysis::ChainSeries& cs,
 struct RepetitionStats {
   double median_seconds = 0.0;
   double iqr_seconds = 0.0;  ///< Interquartile range (q75 - q25).
-  double min_seconds = 0.0;
-  double max_seconds = 0.0;
-  int reps = 0;
-  int warmup = 0;
 };
 
 /// Linear-interpolated quantile of an already-sorted sample.
@@ -75,8 +71,6 @@ inline double quantile_sorted(const std::vector<double>& sorted, double q) {
 template <typename Fn>
 RepetitionStats measure_reps(int reps, int warmup, Fn&& run) {
   RepetitionStats stats;
-  stats.reps = reps;
-  stats.warmup = warmup;
   for (int i = 0; i < warmup; ++i) (void)run();
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
@@ -86,8 +80,6 @@ RepetitionStats measure_reps(int reps, int warmup, Fn&& run) {
   stats.median_seconds = quantile_sorted(samples, 0.5);
   stats.iqr_seconds =
       quantile_sorted(samples, 0.75) - quantile_sorted(samples, 0.25);
-  stats.min_seconds = samples.front();
-  stats.max_seconds = samples.back();
   return stats;
 }
 

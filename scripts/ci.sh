@@ -3,9 +3,10 @@
 # default runs all):
 #  * tier1 — configure, build (-Wall -Wextra -Wshadow -Werror), ctest,
 #    a TXCONC_REPRO replay of one block-stm conformance cell ("repro OK"),
-#    then an observability smoke: a traced ablation_engines run must
-#    emit a valid, non-empty Chrome trace AND the critpath profiler's
-#    attribution sum invariant must hold for every engine ("profile OK"),
+#    then an observability smoke: a traced fast-mode ablation_engines run
+#    in build/obs-smoke must emit a valid, non-empty Chrome trace AND the
+#    critpath profiler's attribution sum invariant must hold for every
+#    engine ("profile OK"), leaving the committed BENCH_*.json unchanged,
 #    and on x86-64 the sequential block paths' prefetcht0 instructions
 #    must be in the built objects ("prefetch OK");
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
@@ -44,7 +45,10 @@
 #    absolute invariants (sum within eps of threads x wall, bounded
 #    untracked share), and BENCH_contention.json (measured c/l, hot keys,
 #    prediction quality), gated by --contend with its own doctored-JSON
-#    negative control. After an intentional perf change, refresh the
+#    negative control. A schema guard requires every header and row key
+#    of the committed baselines (and of the top-level BENCH_profile.json)
+#    in the fresh files, with a dropped-key negative control. After an
+#    intentional perf change, refresh the
 #    baselines with
 #      scripts/bench_gate --exec BENCH_exec.json --obs BENCH_obs.json \
 #        --profile BENCH_profile.json --refresh
@@ -109,14 +113,22 @@ if lane_enabled tier1; then
   # Chrome trace whose spans the bench's built-in validator accepts
   # ("trace OK ...") and whose critpath profile satisfies the
   # attribution sum invariant for every registry engine ("profile OK";
-  # see run_traced_executions in bench/ablation_engines.cpp).
-  TXCONC_TRACE=build/obs_smoke_trace.json \
-    ./build/bench/ablation_engines --benchmark_filter='^$' \
-    > build/obs_smoke.log 2>&1
-  grep -q "trace OK" build/obs_smoke.log
-  grep -q "profile OK" build/obs_smoke.log
-  test -s build/obs_smoke_trace.json
-  echo "obs smoke OK: build/obs_smoke_trace.json"
+  # see run_traced_smoke in bench/ablation_engines.cpp). The bench
+  # writes its BENCH_*.json into the CWD, so it runs in build/obs-smoke
+  # in fast mode, and the committed top-level files must come out of
+  # the lane byte-identical.
+  committed_bench_sums="$(sha256sum BENCH_*.json)"
+  mkdir -p build/obs-smoke
+  (cd build/obs-smoke && TXCONC_BENCH_FAST=1 TXCONC_TRACE=trace.json \
+    ../bench/ablation_engines --benchmark_filter='^$' > smoke.log 2>&1)
+  grep -q "trace OK" build/obs-smoke/smoke.log
+  grep -q "profile OK" build/obs-smoke/smoke.log
+  test -s build/obs-smoke/trace.json
+  if [ "$(sha256sum BENCH_*.json)" != "${committed_bench_sums}" ]; then
+    echo "tier1 lane FAILED: a committed BENCH_*.json changed"
+    exit 1
+  fi
+  echo "obs smoke OK: build/obs-smoke/trace.json"
   # The sequential block paths' account prefetches (DESIGN.md §24) are
   # hints a compiler may delete as dead code; require the instructions
   # in the built objects.
@@ -307,6 +319,35 @@ if lane_enabled bench; then
     --profile build/bench-fresh/BENCH_profile.json \
     --contend build/bench-fresh/BENCH_contention.json
   echo "bench gate vs committed baselines: OK"
+  # Schema guard: every fresh row must carry every row key of the
+  # committed file, and the fresh header every header key, for each
+  # baseline and for the top-level BENCH_profile.json (it has none).
+  # A doctored copy with one row key dropped must trip it.
+  check_schema() {  # check_schema <committed> <fresh>
+    python3 - "$1" "$2" <<'PYEOF'
+import json, sys
+committed, fresh = (json.load(open(path)) for path in sys.argv[1:3])
+missing = sorted(set(committed) - set(fresh))
+row_keys = set().union(*committed.get("results", []))
+for i, row in enumerate(fresh.get("results", [])):
+    missing += [f"results[{i}].{k}" for k in sorted(row_keys - set(row))]
+if missing:
+    sys.exit(f"{sys.argv[2]} lacks keys of {sys.argv[1]}: " + ", ".join(missing))
+PYEOF
+  }
+  for committed in bench/baselines/BENCH_*.json BENCH_profile.json; do
+    check_schema "${committed}" "build/bench-fresh/$(basename "${committed}")"
+  done
+  python3 -c 'import json, sys; d = json.load(open(sys.argv[1]));
+del d["results"][-1]["attempts_per_tx"]; json.dump(d, open(sys.argv[2], "w"))' \
+    build/bench-fresh/BENCH_exec.json build/bench-fresh/BENCH_exec_dropped_key.json
+  if check_schema bench/baselines/BENCH_exec.json \
+       build/bench-fresh/BENCH_exec_dropped_key.json \
+       > build/bench-fresh/schema_doctored.log 2>&1; then
+    echo "bench lane FAILED: a dropped row key did not trip the schema guard"
+    exit 1
+  fi
+  echo "schema negative control OK: a dropped row key tripped the guard"
   # Contention negative control: doctoring one cell's measured conflict
   # rate away from the generator's intent must trip --contend — proving
   # the measured-vs-intent check has teeth.

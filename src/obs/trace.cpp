@@ -297,6 +297,13 @@ void write_json_escaped(std::ostream& out, std::string_view text) {
 
 }  // namespace
 
+void write_trace_ts(std::ostream& out, std::uint64_t ts_ns) {
+  const std::uint64_t ns = ts_ns % 1000;
+  out << ts_ns / 1000 << '.' << static_cast<char>('0' + ns / 100)
+      << static_cast<char>('0' + ns / 10 % 10)
+      << static_cast<char>('0' + ns % 10);
+}
+
 void Tracer::write_chrome_trace(std::ostream& out) const {
   const MutexLock lock(mu_);
 
@@ -325,8 +332,8 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     out << "\",\"cat\":\"";
     write_json_escaped(out, event.category);
     out << "\",\"ph\":\"" << event.phase << "\",\"pid\":"
-        << pid_for(event.process) << ",\"tid\":" << tid << ",\"ts\":"
-        << static_cast<double>(event.ts_ns) / 1000.0;
+        << pid_for(event.process) << ",\"tid\":" << tid << ",\"ts\":";
+    write_trace_ts(out, event.ts_ns);
     if (event.phase == 'i') out << ",\"s\":\"t\"";
     if (event.phase == 's' || event.phase == 'f') {
       out << ",\"id\":" << event.span_id;

@@ -112,6 +112,11 @@ struct TraceValidation {
 /// has a matching flow start ('s').
 TraceValidation validate_chrome_trace(const std::string& json);
 
+/// Write a Chrome-trace `ts` (microseconds) the way write_chrome_trace
+/// does: integer microseconds and three fixed decimals, so a timestamp
+/// keeps its nanoseconds however long after the tracer's epoch it falls.
+void write_trace_ts(std::ostream& out, std::uint64_t ts_ns);
+
 /// Span/instant recorder. One process-wide instance (global()) backs the
 /// TXCONC_SPAN macros; tests may construct private tracers.
 class Tracer {

@@ -15,6 +15,7 @@
 
 #include "exec/thread_pool.h"
 #include "obs/context.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/snapshot.h"
@@ -229,6 +230,28 @@ TEST(Tracer, ValidatorRejectsMalformedTraces) {
   EXPECT_FALSE(validate_chrome_trace("hello").ok);
   // Missing traceEvents.
   EXPECT_FALSE(validate_chrome_trace(R"({"other":[]})").ok);
+}
+
+TEST(Tracer, MicrosecondSpanKeepsItsDurationFarFromTheEpoch) {
+  // 100 s after the epoch, the stream's default six significant digits
+  // would print both ends of the span as 1e+08.
+  constexpr std::uint64_t kBegin = 100'000'000'000;  // ns
+  std::ostringstream out;
+  write_trace_ts(out, kBegin);
+  out << ' ';
+  write_trace_ts(out, kBegin + 1'000);
+  out << ' ';
+  write_trace_ts(out, kBegin + 1'001);
+  const std::string text = out.str();
+  EXPECT_EQ(text, "100000000.000 100000001.000 100000001.001");
+
+  internal::JsonReader reader(text);
+  const double begin = reader.parse_number();
+  const double end = reader.parse_number();
+  const double late_end = reader.parse_number();
+  ASSERT_FALSE(reader.failed()) << reader.error();
+  EXPECT_DOUBLE_EQ(end - begin, 1.0);
+  EXPECT_NEAR(late_end - end, 0.001, 1e-6);
 }
 
 TEST(Tracer, DisabledPathAllocatesNothing) {
