@@ -1,6 +1,7 @@
 // Parallel execution engine demo: run the same generated Ethereum-like
 // block through every executor, verify they all agree with sequential
-// execution, and compare their costs.
+// execution, and compare their costs. Exits 1 when any engine's state
+// digest differs from sequential's.
 //
 // This is the execution engine the paper's conclusion names as future
 // work, running for real on worker threads.
@@ -107,6 +108,7 @@ int main(int argc, char** argv) {
                              "unit-cost time", "speed-up", "state"});
 
   Hash256 expected;
+  bool mismatch = false;
   std::size_t block_size = 0;
   exec::ContentionProbe probe;
   std::vector<std::pair<std::string, obs::BlockContention>> contention;
@@ -139,6 +141,7 @@ int main(int argc, char** argv) {
     block_size = report.num_txs;
     const Hash256 digest = replayer.state().digest();
     if (engine->name() == "sequential") expected = digest;
+    mismatch = mismatch || digest != expected;
     table.row({report.executor, std::to_string(report.sequential_txs),
                std::to_string(report.executions),
                analysis::fmt_double(report.simulated_units, 1),
@@ -218,6 +221,10 @@ int main(int argc, char** argv) {
       obs::write_text(std::cout, block);
       std::cout << "\n";
     }
+  }
+  if (mismatch) {
+    std::cerr << "state digest mismatch: an engine disagrees with sequential\n";
+    return 1;
   }
   return 0;
 }

@@ -140,7 +140,7 @@ Block<account::AccountTx> AccountNode::produce_block(
   obs::Tracer* const tracer = node_tracer(config_);
   const obs::ThreadProcessScope proc(trace_process_);
   // Root of the block's causal story: everything downstream — gossip,
-  // pbft rounds, cross-shard 2PC, remote re-execution — links back here.
+  // pbft rounds, the Zilliqa epoch, remote re-execution — links back here.
   const obs::CausalSpan block_span(tracer, obs::names::kSpanProduceBlock,
                                    obs::names::kCatChain);
   // The ledger's rules first: a timestamp it would refuse must fail
@@ -251,7 +251,7 @@ Block<account::AccountTx> AccountNode::produce_block(
   }
   if (config_.snapshots != nullptr) config_.snapshots->tick();
   // Fork the context inside the producing span so the flow arrow starts
-  // here and the relay sites (gossip, pbft, cross-shard) just forward it.
+  // here and the relay sites (gossip, pbft, epoch) just forward it.
   if (trace_out != nullptr) *trace_out = block_span.fork();
   return block;
 }

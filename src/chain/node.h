@@ -83,8 +83,8 @@ class AccountNode {
   /// Error with the state and the mempool as they were. The block's merkle
   /// root is computed once. Returns the produced block. When `trace_out`
   /// is non-null it receives a forked causal context of the block's root
-  /// span — relay it alongside the block (receive_block, pbft,
-  /// cross-shard) so every downstream span joins the block's trace.
+  /// span — relay it alongside the block (receive_block, pbft, the
+  /// Zilliqa epoch) so every downstream span joins the block's trace.
   Block<account::AccountTx> produce_block(
       std::uint64_t timestamp, obs::TraceContext* trace_out = nullptr);
 

@@ -1,7 +1,7 @@
 // Causal trace context: the message-envelope analogue of a W3C
 // traceparent, carried across threads, nodes and shard committees so one
 // Chrome trace shows a block's whole multi-node lifecycle (produce ->
-// gossip -> pbft rounds -> cross-shard 2PC -> remote re-execution) as a
+// gossip -> Zilliqa epoch and pbft rounds -> remote re-execution) as a
 // single parent-linked tree.
 //
 // This header is deliberately dependency-free: account::RuntimeConfig

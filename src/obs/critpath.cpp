@@ -327,6 +327,10 @@ std::string profile_block(const ParsedTrace& trace, int eb_index,
       const bool committed = has_final_tx.count(s.arg) == 0 &&
                              last_attempt[s.arg].second == i;
       add(committed ? Bucket::kTxExecute : Bucket::kRework, self);
+    } else if (s.name == names::kSpanExecute && out->threads == 1) {
+      // One participant: there is no join to wait on, so the loop's self
+      // time is per-transaction dispatch overhead.
+      add(Bucket::kSchedule, self);
     } else {
       add(bucket_for(s.name), self);
     }

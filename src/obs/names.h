@@ -70,10 +70,6 @@ inline constexpr const char* kSpanPbftRound = "pbft_round";
 inline constexpr const char* kSpanPbftPrePrepare = "pbft_pre_prepare";
 inline constexpr const char* kSpanPbftPrepare = "pbft_prepare";
 inline constexpr const char* kSpanPbftCommit = "pbft_commit";
-inline constexpr const char* kSpanXshardTransfer = "xshard_transfer";
-inline constexpr const char* kSpanXshardLock = "xshard_lock";
-inline constexpr const char* kSpanXshardRedeem = "xshard_redeem";
-inline constexpr const char* kSpanXshardUnlock = "xshard_unlock";
 inline constexpr const char* kSpanEpoch = "epoch";
 
 // -------------------------------------------------------------- metrics
@@ -143,10 +139,6 @@ inline constexpr const char* kMetricNodeStateRootHashes =
 inline constexpr const char* kMetricPbftRounds = "pbft.rounds";
 inline constexpr const char* kMetricPbftMessages = "pbft.messages";
 inline constexpr const char* kMetricPbftViewChanges = "pbft.view_changes";
-inline constexpr const char* kMetricXshardTransfers = "xshard.transfers";
-inline constexpr const char* kMetricXshardCommits = "xshard.commits";
-inline constexpr const char* kMetricXshardAborts = "xshard.aborts";
-inline constexpr const char* kMetricXshardLatencyS = "xshard.latency_s";
 inline constexpr const char* kMetricShardEpochs = "shard.epochs";
 inline constexpr const char* kMetricShardMessages = "shard.messages";
 inline constexpr const char* kMetricShardRejectedCrossShard =

@@ -59,7 +59,7 @@ class PbftSimulator {
 
   /// Run one round to completion (retrying through view changes).
   /// `trace` is the causal context of whatever the round decides on (a
-  /// block, a cross-shard phase); the round span and its pre-prepare /
+  /// block, an epoch's micro-block); the round span and its pre-prepare /
   /// prepare / commit children join that trace.
   PbftOutcome run_round(const obs::TraceContext& trace = {});
 

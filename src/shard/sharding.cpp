@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "obs/scope.h"
 #include "obs/names.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 
 namespace txconc::shard {
@@ -92,7 +91,6 @@ EpochResult ZilliqaSimulator::run_epoch(
     registry->histogram(obs::names::kMetricShardEpochLatencyS)
         .observe(result.latency_seconds);
   }
-  if (config_.snapshots != nullptr) config_.snapshots->tick();
   return result;
 }
 

@@ -15,10 +15,6 @@
 #include "common/thread_annotations.h"
 #include "shard/pbft.h"
 
-namespace txconc::obs {
-class SnapshotWriter;  // periodic metrics snapshots, see obs/snapshot.h
-}
-
 namespace txconc::shard {
 
 /// Static sharding parameters.
@@ -31,9 +27,6 @@ struct ShardConfig {
   /// wait for state synchronization between committees before transactions
   /// are confirmed").
   double state_sync_latency = 5.0;
-  /// Optional periodic metrics snapshots, ticked once per epoch (and per
-  /// cross-shard transfer). Not owned; must outlive the simulator.
-  obs::SnapshotWriter* snapshots = nullptr;
 };
 
 /// Committee of a sender: the low bits of the address, as in Zilliqa.

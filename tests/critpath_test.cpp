@@ -1,8 +1,8 @@
 // Critical-path profiler tests: hand-computed attribution over a
-// synthetic 3-tx trace, gate negative controls (dropped commit span,
-// untracked-heavy trace), unclosed-span repair, and a live round-trip of
-// every registry engine through the global tracer (DESIGN.md §16 warm
-// protocol).
+// synthetic 3-tx trace and a one-participant sequential trace, gate
+// negative controls (dropped commit span, untracked-heavy trace),
+// unclosed-span repair, and a live round-trip of every registry engine
+// through the global tracer (DESIGN.md §16 warm protocol).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -147,6 +147,45 @@ TEST(CritPath, SyntheticThreeTxAttributionHandComputed) {
   EXPECT_DOUBLE_EQ(p.dominant_us, 750.0);
   EXPECT_EQ(p.dominant_overhead_segment, names::kSpanPredict);
   EXPECT_DOUBLE_EQ(p.dominant_overhead_us, 100.0);
+}
+
+TEST(CritPath, SingleParticipantExecuteSelfIsScheduleNotWait) {
+  // The sequential shape: one participant (threads = 1) runs predict
+  // 100us / execute 800us / commit 100us, and the execute loop holds two
+  // tx spans (300us + 350us). With no join there is nothing to wait on,
+  // so the loop's 150us of self time is per-tx dispatch: schedule.
+  const std::vector<RawEvent> ev = {
+      {"process_name", 'M', 0, 0, -1, "synthetic"},
+      {"thread_name", 'M', 1, 0, -1, "caller-0"},
+      {names::kSpanExecuteBlock, 'B', 1, 1000, 2},
+      {names::kEvThreads, 'i', 1, 1001, 1},
+      {names::kSpanPredict, 'B', 1, 1000},
+      {names::kSpanPredict, 'E', 1, 1100},
+      {names::kSpanExecute, 'B', 1, 1100},
+      {names::kSpanTx, 'B', 1, 1150, 0},
+      {names::kSpanTx, 'E', 1, 1450, 0},
+      {names::kSpanTx, 'B', 1, 1500, 1},
+      {names::kSpanTx, 'E', 1, 1850, 1},
+      {names::kSpanExecute, 'E', 1, 1900},
+      {names::kSpanCommit, 'B', 1, 1900},
+      {names::kSpanCommit, 'E', 1, 2000},
+      {names::kSpanExecuteBlock, 'E', 1, 2000},
+  };
+  const ProfileResult result = profile_chrome_trace(make_trace(ev));
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_EQ(result.blocks.size(), 1u);
+  const BlockProfile& p = result.blocks[0];
+  EXPECT_EQ(p.threads, 1u);
+  EXPECT_DOUBLE_EQ(p.budget_us, 1000.0);
+
+  EXPECT_DOUBLE_EQ(bucket(p, Bucket::kDependencyWait), 0.0);
+  EXPECT_DOUBLE_EQ(bucket(p, Bucket::kSchedule), 150.0);
+  EXPECT_DOUBLE_EQ(bucket(p, Bucket::kGraphBuild), 100.0);
+  EXPECT_DOUBLE_EQ(bucket(p, Bucket::kTxExecute), 650.0);
+  EXPECT_DOUBLE_EQ(bucket(p, Bucket::kCommit), 100.0);
+  EXPECT_DOUBLE_EQ(bucket(p, Bucket::kPoolIdle), 0.0);
+  EXPECT_DOUBLE_EQ(p.uncovered_us, 0.0);
+  EXPECT_TRUE(check_attribution(p).empty());
 }
 
 TEST(CritPath, DroppedCommitSpanFailsTheGate) {

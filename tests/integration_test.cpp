@@ -1,5 +1,5 @@
 // Cross-module integration scenarios: the seams between workload,
-// analysis, chain, shard and exec, exercised the way a downstream user
+// analysis, chain and exec, exercised the way a downstream user
 // would chain them.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,6 @@
 #include "common/error.h"
 #include "exec/executor.h"
 #include "exec/replay.h"
-#include "shard/cross_shard.h"
-#include "shard/sharding.h"
 #include "utxo/wallet.h"
 #include "workload/account_workload.h"
 #include "workload/profiles.h"
@@ -155,46 +153,7 @@ TEST(Integration, WalletSurvivesReorg) {
   EXPECT_EQ(recovered.balance(), 10'0000'0000ULL);
 }
 
-// Scenario 4: Zilliqa workload -> epoch simulation -> cross-shard 2PC for
-// the traffic the base protocol rejects.
-TEST(Integration, RejectedCrossShardTrafficSettlesViaTwoPhaseCommit) {
-  shard::ShardConfig config;
-  config.num_shards = 4;
-  config.pbft.committee_size = 8;
-  config.shard_capacity = 1000;
-
-  // Pending traffic with deliberate cross-shard payments mixed in.
-  std::vector<account::AccountTx> pending;
-  for (std::uint64_t s = 0; s < 80; ++s) {
-    account::AccountTx tx;
-    tx.from = addr(1000 + s);
-    tx.to = addr(2000 + s);
-    tx.value = 100;
-    pending.push_back(tx);
-  }
-
-  shard::ZilliqaSimulator zilliqa(3, config);
-  const shard::EpochResult epoch = zilliqa.run_epoch(pending);
-  ASSERT_FALSE(epoch.rejected_cross_shard.empty());
-
-  // The OmniLedger-style coordinator settles what Zilliqa rejected.
-  shard::CrossShardCoordinator coordinator(3, config);
-  for (const auto& tx : epoch.rejected_cross_shard) {
-    const unsigned source = shard::shard_of(tx.from, config.num_shards);
-    coordinator.shard_state(source).set_balance(tx.from, 1000);
-    coordinator.shard_state(source).flush_journal();
-  }
-  const std::uint64_t supply = coordinator.total_supply();
-  std::size_t settled = 0;
-  for (const auto& tx : epoch.rejected_cross_shard) {
-    settled += coordinator.transfer(tx).committed ? 1 : 0;
-  }
-  EXPECT_EQ(settled, epoch.rejected_cross_shard.size());
-  EXPECT_EQ(coordinator.total_supply(), supply);
-  EXPECT_EQ(coordinator.escrow_total(), 0u);
-}
-
-// Scenario 5: chaos replay — a different executor for every block of the
+// Scenario 4: chaos replay — a different executor for every block of the
 // same history must still end in the sequential state.
 TEST(Integration, MixedExecutorsPerBlockStillAgree) {
   workload::ChainProfile profile = workload::ethereum_classic_profile();
@@ -223,7 +182,7 @@ TEST(Integration, MixedExecutorsPerBlockStillAgree) {
   EXPECT_EQ(mixed_replay.state().digest(), expected);
 }
 
-// Scenario 6: model predictions from measured series match the engine the
+// Scenario 5: model predictions from measured series match the engine the
 // replayer drives — the whole Fig. 10 story in one assertion.
 TEST(Integration, ModelPredictsEngineWithinTolerance) {
   workload::ChainProfile profile = workload::ethereum_profile();

@@ -2,12 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/rng.h"
-#include <cmath>
-
-#include "common/stats.h"
-#include "shard/cross_shard.h"
-#include "shard/election.h"
 #include "shard/pbft.h"
 #include "shard/sharding.h"
 
@@ -222,294 +216,6 @@ TEST_F(ZilliqaTest, MoreShardsRaiseAggregateThroughputCeiling) {
   const auto r8 = sim8.run_epoch(pending);
   EXPECT_EQ(r2.final_block.size(), 20u);
   EXPECT_EQ(r8.final_block.size(), 80u);
-}
-
-// ------------------------------------------------------------- cross-shard
-
-class CrossShardTest : public ::testing::Test {
- protected:
-  CrossShardTest() : coordinator_(1, config()) {}
-
-  static ShardConfig config() {
-    ShardConfig c;
-    c.num_shards = 4;
-    c.pbft.committee_size = 8;
-    c.pbft.message_latency = 0.1;
-    return c;
-  }
-
-  /// Fund an address in its own committee's state.
-  void fund(const Address& a, std::uint64_t v) {
-    const unsigned shard = shard_of(a, 4);
-    coordinator_.shard_state(shard).set_balance(a, v);
-    coordinator_.shard_state(shard).flush_journal();
-  }
-
-  /// The (skip+1)-th distinct address mapping to the given committee.
-  static Address address_in_shard(unsigned shard, std::uint64_t skip = 0) {
-    for (std::uint64_t s = 0;; ++s) {
-      const Address a = Address::from_seed(0xc0de + s * 131);
-      if (shard_of(a, 4) == shard) {
-        if (skip == 0) return a;
-        --skip;
-      }
-    }
-  }
-
-  CrossShardCoordinator coordinator_;
-};
-
-TEST_F(CrossShardTest, SameShardTransferDirect) {
-  const Address a = address_in_shard(1, 0);
-  const Address b = address_in_shard(1, 1);
-  fund(a, 1000);
-
-  account::AccountTx tx;
-  tx.from = a;
-  tx.to = b;
-  tx.value = 400;
-  const CrossShardOutcome outcome = coordinator_.transfer(tx);
-  EXPECT_TRUE(outcome.committed);
-  EXPECT_EQ(coordinator_.shard_state(1).balance(b), 400u);
-  // One consensus round only.
-  EXPECT_NEAR(outcome.latency_seconds, 0.3, 1e-9);
-}
-
-TEST_F(CrossShardTest, CrossShardCommitMovesValueAtomically) {
-  const Address a = address_in_shard(0);
-  const Address b = address_in_shard(3);
-  fund(a, 1000);
-  const std::uint64_t supply = coordinator_.total_supply();
-
-  account::AccountTx tx;
-  tx.from = a;
-  tx.to = b;
-  tx.value = 250;
-  const CrossShardOutcome outcome = coordinator_.transfer(tx);
-  EXPECT_TRUE(outcome.committed);
-  EXPECT_TRUE(outcome.proof.accepted);
-  EXPECT_EQ(outcome.proof.source_shard, 0u);
-  EXPECT_EQ(outcome.proof.dest_shard, 3u);
-  EXPECT_EQ(coordinator_.shard_state(0).balance(a), 750u);
-  EXPECT_EQ(coordinator_.shard_state(3).balance(b), 250u);
-  EXPECT_EQ(coordinator_.escrow_total(), 0u);
-  EXPECT_EQ(coordinator_.total_supply(), supply);
-  // Two consensus rounds.
-  EXPECT_NEAR(outcome.latency_seconds, 0.6, 1e-9);
-}
-
-TEST_F(CrossShardTest, InsufficientFundsYieldsRejectionProof) {
-  const Address a = address_in_shard(0);
-  const Address b = address_in_shard(2);
-  fund(a, 10);
-
-  account::AccountTx tx;
-  tx.from = a;
-  tx.to = b;
-  tx.value = 9999;
-  const CrossShardOutcome outcome = coordinator_.transfer(tx);
-  EXPECT_FALSE(outcome.committed);
-  EXPECT_FALSE(outcome.proof.accepted);
-  EXPECT_EQ(coordinator_.shard_state(0).balance(a), 10u);
-  EXPECT_EQ(coordinator_.escrow_total(), 0u);
-}
-
-TEST_F(CrossShardTest, DestinationRejectionUnlocksEscrow) {
-  const Address a = address_in_shard(0);
-  const Address b = address_in_shard(2);
-  fund(a, 1000);
-  const std::uint64_t supply = coordinator_.total_supply();
-
-  account::AccountTx tx;
-  tx.from = a;
-  tx.to = b;
-  tx.value = 500;
-  const CrossShardOutcome outcome =
-      coordinator_.transfer(tx, /*force_dest_reject=*/true);
-  EXPECT_FALSE(outcome.committed);
-  EXPECT_TRUE(outcome.proof.accepted);  // lock succeeded, redeem refused
-  // Abort left no trace: funds unlocked, nothing credited.
-  EXPECT_EQ(coordinator_.shard_state(0).balance(a), 1000u);
-  EXPECT_EQ(coordinator_.shard_state(2).balance(b), 0u);
-  EXPECT_EQ(coordinator_.escrow_total(), 0u);
-  EXPECT_EQ(coordinator_.total_supply(), supply);
-  // Three consensus rounds (lock, refused redeem, unlock).
-  EXPECT_NEAR(outcome.latency_seconds, 0.9, 1e-9);
-}
-
-TEST_F(CrossShardTest, CreationNotRouted) {
-  account::AccountTx creation;
-  creation.from = address_in_shard(0);
-  const CrossShardOutcome outcome = coordinator_.transfer(creation);
-  EXPECT_FALSE(outcome.committed);
-}
-
-// Property: random transfer mixes (including forced aborts) conserve the
-// total supply and leave no funds stuck in escrow.
-class CrossShardConservation : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CrossShardConservation, SupplyConservedNoEscrowLeak) {
-  ShardConfig config;
-  config.num_shards = 4;
-  config.pbft.committee_size = 8;
-  CrossShardCoordinator coordinator(GetParam(), config);
-
-  Rng rng(GetParam());
-  std::vector<Address> accounts;
-  for (std::uint64_t s = 0; s < 16; ++s) {
-    accounts.push_back(Address::from_seed(500 + s));
-    const unsigned shard = shard_of(accounts.back(), 4);
-    coordinator.shard_state(shard).set_balance(accounts.back(), 1000);
-    coordinator.shard_state(shard).flush_journal();
-  }
-  const std::uint64_t supply = coordinator.total_supply();
-  ASSERT_EQ(supply, 16u * 1000u);
-
-  std::size_t commits = 0;
-  for (int i = 0; i < 200; ++i) {
-    account::AccountTx tx;
-    tx.from = accounts[rng.uniform(accounts.size())];
-    tx.to = accounts[rng.uniform(accounts.size())];
-    tx.value = rng.uniform(1500);  // sometimes unaffordable
-    const bool force_reject = rng.bernoulli(0.2);
-    commits += coordinator.transfer(tx, force_reject).committed ? 1 : 0;
-  }
-  EXPECT_GT(commits, 0u);
-  EXPECT_EQ(coordinator.total_supply(), supply);
-  EXPECT_EQ(coordinator.escrow_total(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CrossShardConservation,
-                         ::testing::Values(1, 2, 3, 4, 5));
-
-// ---------------------------------------------------------------- elections
-
-TEST(Election, CommitteesAreExactlyFilled) {
-  ElectionConfig config;
-  config.num_shards = 3;
-  config.committee_size = 50;
-  CommitteeElection election(1, config);
-  const std::vector<double> power(200, 1.0);
-  const std::vector<std::uint8_t> adversarial(200, 0);
-  const ElectionResult result = election.run_epoch(power, adversarial);
-  ASSERT_EQ(result.committees.size(), 3u);
-  for (const auto& committee : result.committees) {
-    EXPECT_EQ(committee.size(), 50u);
-  }
-  EXPECT_EQ(result.compromised, 0u);
-}
-
-TEST(Election, SeatsProportionalToHashPower) {
-  ElectionConfig config;
-  config.num_shards = 4;
-  config.committee_size = 500;
-  CommitteeElection election(2, config);
-  // Node 0 holds half of the total power.
-  std::vector<double> power(101, 0.01);
-  power[0] = 1.0;
-  const std::vector<std::uint8_t> adversarial(101, 0);
-  const ElectionResult result = election.run_epoch(power, adversarial);
-  std::size_t node0_seats = 0;
-  for (const auto& committee : result.committees) {
-    for (std::uint32_t member : committee) {
-      if (member == 0) ++node0_seats;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(node0_seats) / 2000.0, 0.5, 0.05);
-}
-
-TEST(Election, AdversaryFractionConcentratesAroundPower) {
-  ElectionConfig config;
-  config.num_shards = 4;
-  config.committee_size = 600;
-  CommitteeElection election(3, config);
-  std::vector<double> power(1000, 1.0);
-  std::vector<std::uint8_t> adversarial(1000, 0);
-  for (std::size_t i = 0; i < 200; ++i) adversarial[i] = 1;  // 20%
-
-  RunningStats fractions;
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    const ElectionResult result = election.run_epoch(power, adversarial);
-    for (double f : result.adversary_fraction) fractions.add(f);
-    EXPECT_EQ(result.compromised, 0u);  // 20% << 33% at size 600
-  }
-  EXPECT_NEAR(fractions.mean(), 0.2, 0.02);
-}
-
-TEST(Election, SmallCommitteesGetCompromised) {
-  // With 30% adversarial power, committees of 10 are regularly captured
-  // while committees of 600 essentially never are — the paper's sharding
-  // security argument in numbers.
-  ElectionConfig small;
-  small.num_shards = 8;
-  small.committee_size = 10;
-  CommitteeElection election(4, small);
-  std::vector<double> power(1000, 1.0);
-  std::vector<std::uint8_t> adversarial(1000, 0);
-  for (std::size_t i = 0; i < 300; ++i) adversarial[i] = 1;
-
-  unsigned compromised = 0;
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    compromised += election.run_epoch(power, adversarial).compromised;
-  }
-  EXPECT_GT(compromised, 0u);
-}
-
-TEST(Election, CompromiseProbabilityMatchesBinomial) {
-  // n=10, p=0.3, threshold 1/3 -> P(X >= 4) for X ~ Bin(10, 0.3).
-  double expected = 0.0;
-  const double p = 0.3;
-  auto choose = [](int n, int k) {
-    double c = 1.0;
-    for (int i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
-    return c;
-  };
-  for (int k = 4; k <= 10; ++k) {
-    expected += choose(10, k) * std::pow(p, k) * std::pow(1 - p, 10 - k);
-  }
-  EXPECT_NEAR(committee_compromise_probability(10, 0.3), expected, 1e-12);
-}
-
-TEST(Election, CompromiseProbabilityShrinksWithCommitteeSize) {
-  const double p30_10 = committee_compromise_probability(10, 0.30);
-  const double p30_100 = committee_compromise_probability(100, 0.30);
-  const double p30_600 = committee_compromise_probability(600, 0.30);
-  EXPECT_GT(p30_10, p30_100);
-  EXPECT_GT(p30_100, p30_600);
-  EXPECT_LT(p30_600, 0.05);
-  // Degenerate cases.
-  EXPECT_DOUBLE_EQ(committee_compromise_probability(100, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(committee_compromise_probability(100, 1.0), 1.0);
-}
-
-TEST(Election, EmpiricalMatchesAnalytic) {
-  // Monte-Carlo committee capture rate vs the binomial tail.
-  ElectionConfig config;
-  config.num_shards = 10;
-  config.committee_size = 30;
-  CommitteeElection election(5, config);
-  std::vector<double> power(3000, 1.0);
-  std::vector<std::uint8_t> adversarial(3000, 0);
-  for (std::size_t i = 0; i < 750; ++i) adversarial[i] = 1;  // 25%
-
-  unsigned compromised = 0;
-  const int epochs = 300;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    compromised += election.run_epoch(power, adversarial).compromised;
-  }
-  const double empirical =
-      static_cast<double>(compromised) / (epochs * config.num_shards);
-  const double analytic = committee_compromise_probability(30, 0.25);
-  EXPECT_NEAR(empirical, analytic, 0.05);
-}
-
-TEST(Election, RejectsBadInputs) {
-  CommitteeElection election(1, {});
-  const std::vector<double> power(5, 1.0);
-  const std::vector<std::uint8_t> wrong(4, 0);
-  EXPECT_THROW(election.run_epoch(power, wrong), UsageError);
-  EXPECT_THROW(committee_compromise_probability(0, 0.3), UsageError);
-  EXPECT_THROW(committee_compromise_probability(10, 1.5), UsageError);
 }
 
 }  // namespace

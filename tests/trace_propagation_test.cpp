@@ -1,8 +1,8 @@
 // Cross-node causal trace propagation (tier-1, ISSUE 5 satellite):
 // a block minted on node-A must carry one TraceContext through block
-// relay, remote re-execution on node-B, pbft consensus rounds and the
-// cross-shard 2PC, so a single Chrome trace tells the whole multi-node
-// story. The acceptance bar is >= 95% of pbft/cross-shard/executor spans
+// relay, remote re-execution on node-B and a Zilliqa epoch's pbft
+// consensus rounds, so a single Chrome trace tells the whole multi-node
+// story. The acceptance bar is >= 95% of epoch/pbft/executor spans
 // reachable from the block's root; with propagation wired these tests
 // hold the stronger 100%. A negative control proves the check has teeth:
 // with contexts dropped, the spans fragment into many roots and the same
@@ -21,7 +21,6 @@
 #include "obs/scope.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "shard/cross_shard.h"
 #include "shard/sharding.h"
 
 namespace txconc {
@@ -71,7 +70,7 @@ std::set<std::string> causal_names(const obs::TraceValidation& v) {
 /// Drives the full two-node, two-shard lifecycle under one tracer.
 ///
 /// `propagate` is the experiment knob: true forwards every TraceContext
-/// (block relay, committee rounds, 2PC messages); false drops them all,
+/// (block relay, the epoch and its committee rounds); false drops them all,
 /// modeling a deployment that never wired the envelope through.
 /// Returns the validated trace plus the block's root trace id.
 struct LifecycleRun {
@@ -122,30 +121,22 @@ LifecycleRun run_lifecycle(bool propagate) {
   const std::uint64_t block_trace_id = ctx.trace_id;
   node_b.receive_block(block, ctx);
 
-  // The block's cross-shard settlement: a 2-committee coordinator runs
-  // lock -> redeem (commit) and lock -> unlock (abort) 2PCs plus a
-  // same-shard transfer, all under the block's context.
+  // The block's consensus leg: a 2-committee Zilliqa epoch (one PBFT round
+  // per committee plus the DS round) under the block's context. The
+  // pending set holds one same-shard transfer, which lands in the final
+  // block, and one cross-shard transfer, which the epoch must reject.
   shard::ShardConfig shard_config;
   shard_config.num_shards = 2;
   shard_config.pbft.committee_size = 8;
   shard_config.pbft.obs = &validator_scope;
-  shard::CrossShardCoordinator coordinator(1, shard_config);
+  shard::ZilliqaSimulator zilliqa(1, shard_config);
   const Address s0_a = address_in_shard(0, 2, 0);
   const Address s0_b = address_in_shard(0, 2, 1);
   const Address s1_a = address_in_shard(1, 2, 0);
-  for (const Address& a : {s0_a, s0_b}) {
-    coordinator.shard_state(0).set_balance(a, 1000);
-    coordinator.shard_state(0).flush_journal();
-  }
-  EXPECT_TRUE(coordinator.transfer(make_tx(s0_a, s1_a, 100, 0),
-                                   /*force_dest_reject=*/false, ctx)
-                  .committed);
-  EXPECT_FALSE(coordinator.transfer(make_tx(s0_a, s1_a, 100, 1),
-                                    /*force_dest_reject=*/true, ctx)
-                   .committed);
-  EXPECT_TRUE(coordinator.transfer(make_tx(s0_a, s0_b, 100, 2),
-                                   /*force_dest_reject=*/false, ctx)
-                  .committed);
+  const shard::EpochResult epoch = zilliqa.run_epoch(
+      {make_tx(s0_a, s0_b, 100, 0), make_tx(s0_a, s1_a, 100, 1)}, ctx);
+  EXPECT_EQ(epoch.final_block.size(), 1u);
+  EXPECT_EQ(epoch.rejected_cross_shard.size(), 1u);
 
   tracer.disable();
   std::ostringstream out;
@@ -186,12 +177,12 @@ TEST(TracePropagation, TwoNodeTwoShardLifecycleSharesOneRoot) {
   EXPECT_GE(v.flow_binds, 1u);  // the produce -> receive relay arrow
 
   // The story must actually span all layers: block production, remote
-  // re-execution (executor phases), consensus rounds, cross-shard 2PC.
+  // re-execution (executor phases), the epoch and its consensus rounds.
   const std::set<std::string> names = causal_names(v);
   for (const char* required :
        {"produce_block", "receive_block", "execute_block", "schedule",
-        "commit", "pbft_round", "pbft_pre_prepare", "pbft_commit",
-        "xshard_transfer", "xshard_lock", "xshard_redeem", "xshard_unlock"}) {
+        "commit", "epoch", "pbft_round", "pbft_pre_prepare", "pbft_prepare",
+        "pbft_commit"}) {
     EXPECT_TRUE(names.contains(required)) << "missing span: " << required;
   }
 
@@ -220,7 +211,7 @@ TEST(TracePropagation, DroppedContextsFragmentTheTrace) {
   ASSERT_FALSE(v.causal.empty());
 
   EXPECT_EQ(run.block_trace_id, 0u);  // nothing was relayed
-  EXPECT_GT(v.causal_roots, 1u);      // produce, receive, each 2PC, ...
+  EXPECT_GT(v.causal_roots, 1u);      // produce, receive, epoch
   // No single trace id covers 95% of the spans any more.
   std::set<std::uint64_t> trace_ids;
   for (const obs::CausalSpanInfo& s : v.causal) trace_ids.insert(s.trace_id);
