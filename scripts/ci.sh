@@ -16,8 +16,10 @@
 #    with the page-guard test catching any over-read ASan cannot see) and
 #    the merkle/ledger paths under ASan/UBSan; account_test + state_trie_test
 #    cover the flat account table, whose records move when it grows;
-#    txconc_profile then analyzes the traced exec_test run, driving the
-#    trace parser and span-DAG analyzer over sanitizer-instrumented code;
+#    txconc_profile then analyzes a traced parallel_executor run, driving
+#    the trace parser and span-DAG analyzer over sanitizer-instrumented
+#    code, and txconc_contend replays every engine through the contention
+#    probe and its gates;
 #  * tsan  — TSan on the same binaries: data races, with the conformance
 #    schedule perturber widening the interleavings each seed explores;
 #  * tsa   — Clang Thread Safety Analysis: recompiles every library with
@@ -161,7 +163,8 @@ if lane_enabled asan; then
     --target common_test --target chain_test \
     --target account_test --target state_trie_test \
     --target node_test --target wallet_node_test \
-    --target parallel_executor --target txconc_profile
+    --target parallel_executor --target txconc_profile \
+    --target txconc_contend
   # Leak checking needs ptrace, which container CI runners often deny; the
   # races/UB we are after are caught without it.
   # Both SHA-256 kernels and every batch path (SHA-NI and the 16-lane
@@ -204,6 +207,12 @@ if lane_enabled asan; then
     --eps=1.0 --untracked-max=1.0 build-asan/example_trace.json \
     > build-asan/profile.log 2>&1
   echo "asan txconc_profile OK: build-asan/example_trace.json analyzed"
+  # Every registry engine through the contention probe: the access
+  # recorder fires from every pool worker, and the gates (recall 1,
+  # sink/engine abort tallies equal) must hold under the sanitizers too.
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tools/txconc_contend/txconc_contend \
+    > build-asan/contend.log 2>&1
+  echo "asan txconc_contend OK: every engine passed the contention gates"
 fi
 
 # --- TSan lane: races under perturbed schedules ----------------------------

@@ -4,7 +4,6 @@
 
 #include "obs/scope.h"
 #include "obs/names.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 
 namespace txconc::chain {
@@ -249,7 +248,6 @@ Block<account::AccountTx> AccountNode::produce_block(
         .observe(static_cast<double>(passes));
     set_state_gauges(*registry, state_);
   }
-  if (config_.snapshots != nullptr) config_.snapshots->tick();
   // Fork the context inside the producing span so the flow arrow starts
   // here and the relay sites (gossip, pbft, epoch) just forward it.
   if (trace_out != nullptr) *trace_out = block_span.fork();
@@ -323,7 +321,6 @@ void AccountNode::receive_block(const Block<account::AccountTx>& block,
     registry->histogram(obs::names::kMetricNodeReceiveUs).observe(elapsed_us(start));
     set_state_gauges(*registry, state_);
   }
-  if (config_.snapshots != nullptr) config_.snapshots->tick();
 }
 
 }  // namespace txconc::chain

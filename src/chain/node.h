@@ -18,8 +18,7 @@
 #include "obs/context.h"
 
 namespace txconc::obs {
-class Registry;        // metrics sink, see obs/metrics.h
-class SnapshotWriter;  // periodic metrics snapshots, see obs/snapshot.h
+class Registry;  // metrics sink, see obs/metrics.h
 }
 
 namespace txconc::chain {
@@ -45,9 +44,6 @@ struct AccountNodeConfig {
   /// "node-B", ...); interned at construction. Multi-node runs give each
   /// node its own label so one trace shows one pid row per node.
   std::string trace_label = "node";
-  /// Optional periodic metrics snapshots, ticked after every produced and
-  /// received block. Not owned; must outlive the node.
-  obs::SnapshotWriter* snapshots = nullptr;
 };
 
 /// How a node executes the transactions of a block. Receives the node's

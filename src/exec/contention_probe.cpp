@@ -7,7 +7,6 @@ namespace txconc::exec {
 void ContentionProbe::before_block(std::span<const account::AccountTx> txs,
                                    const account::StateDb& state) {
   observer_.begin_block(txs);
-  if (!predict_) return;
   for (std::size_t i = 0; i < txs.size(); ++i) {
     closure_ = predicted_addresses(txs[i], state);
     observer_.set_predicted(i, closure_);

@@ -33,10 +33,6 @@ class ContentionProbe final : public BlockObserver {
   /// Point obs::Scope::contention here so engines can attribute aborts.
   obs::ContentionSink* sink() { return &observer_.sink(); }
 
-  /// Skip the per-transaction closure walk (prediction-quality metrics
-  /// come out as "no prediction"); on by default.
-  void set_predict(bool on) { predict_ = on; }
-
   // BlockObserver: bracket one executed block.
   void before_block(std::span<const account::AccountTx> txs,
                     const account::StateDb& state) override;
@@ -46,11 +42,9 @@ class ContentionProbe final : public BlockObserver {
   /// engine_abort_totals come from the report (authoritative), the rest
   /// from the observer's measured view.
   const std::vector<obs::BlockContention>& blocks() const { return blocks_; }
-  void clear() { blocks_.clear(); }
 
  private:
   obs::ContentionObserver observer_;
-  bool predict_ = true;
   std::vector<Address> closure_;  // per-tx scratch
   std::vector<obs::BlockContention> blocks_;
 };

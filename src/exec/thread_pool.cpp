@@ -50,10 +50,6 @@ ThreadPool::GrainHook ThreadPool::swap_grain_hook(GrainHook hook) {
   return previous;
 }
 
-void ThreadPool::set_grain_hook(GrainHook hook) {
-  (void)swap_grain_hook(std::move(hook));
-}
-
 bool ThreadPool::grain_hook_installed() {
   // ordering: acquire pairs with the release stores in swap_grain_hook.
   return g_grain_hook_installed.load(std::memory_order_acquire);

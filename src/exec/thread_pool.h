@@ -99,12 +99,10 @@ class ThreadPool {
   /// conformance harness installs a seeded perturber here to drive many
   /// distinct interleavings out of one binary. Pass nullptr to remove.
   /// Install/remove only while no parallel_for is in flight; the fast path
-  /// when no hook is installed is a single relaxed atomic load.
+  /// when no hook is installed is a single relaxed atomic load. Returns
+  /// the previously installed hook (an empty function when none), so
+  /// scoped installers can restore it.
   using GrainHook = std::function<void(std::uint64_t grain_seq)>;
-  static void set_grain_hook(GrainHook hook);
-
-  /// Like set_grain_hook but returns the previously installed hook (an
-  /// empty function when none), so scoped installers can restore it.
   static GrainHook swap_grain_hook(GrainHook hook);
 
   /// Whether any grain hook is currently installed (test assertions).

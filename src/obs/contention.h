@@ -355,8 +355,7 @@ class ContentionObserver final : public account::AccessRecorder {
 
 // ---------------------------------------------------------- rendering
 
-/// Human-readable report (txconc_contend default, parallel_executor
-/// --contend).
+/// Human-readable report (txconc_contend default).
 void write_text(std::ostream& out, const BlockContention& block,
                 std::size_t top_k = 10);
 /// Machine-readable report (txconc_contend --format=json; the bench

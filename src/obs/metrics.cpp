@@ -6,7 +6,6 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <utility>
 
 #include "common/csv.h"
 
@@ -94,41 +93,6 @@ double Histogram::max() const {
                       : bits_double(max_bits_.load(std::memory_order_relaxed));
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  // ordering: relaxed — the copy is a statistical snapshot, not an
-  // atomic transaction across instruments (see the header contract).
-  const std::uint64_t n = other.count_.load(std::memory_order_relaxed);
-  if (n == 0) return;
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    // ordering: relaxed — as above.
-    const std::uint64_t in_bucket =
-        other.buckets_[b].load(std::memory_order_relaxed);
-    if (in_bucket != 0) {
-      // ordering: relaxed — as above.
-      buckets_[b].fetch_add(in_bucket, std::memory_order_relaxed);
-    }
-  }
-  // ordering: relaxed — as above.
-  count_.fetch_add(n, std::memory_order_relaxed);
-  atomic_add_double(sum_bits_, other.sum());
-  // min/max start at +/-inf, so merging an untouched side is a no-op.
-  // ordering: relaxed — statistical snapshot, as above.
-  atomic_extreme_double(
-      min_bits_, bits_double(other.min_bits_.load(std::memory_order_relaxed)),
-      std::less<double>());
-  atomic_extreme_double(
-      // ordering: relaxed — statistical snapshot, as above.
-      max_bits_, bits_double(other.max_bits_.load(std::memory_order_relaxed)),
-      std::greater<double>());
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t bucket) const {
-  // ordering: relaxed — statistical snapshot; see observe().
-  return bucket < kNumBuckets
-             ? buckets_[bucket].load(std::memory_order_relaxed)
-             : 0;
-}
-
 double Histogram::quantile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
@@ -182,37 +146,6 @@ std::size_t Registry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-void Registry::merge_from(const Registry& other) {
-  // Snapshot the other registry's instrument pointers under its lock,
-  // then fold them in through our own lookup path — instruments are
-  // never deleted, so the pointers outlive the lock, and taking one
-  // mutex at a time cannot deadlock with a concurrent opposite merge.
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> histograms;
-  {
-    const MutexLock lock(other.mu_);
-    counters.reserve(other.counters_.size());
-    for (const auto& [name, c] : other.counters_) {
-      counters.emplace_back(name, c.get());
-    }
-    gauges.reserve(other.gauges_.size());
-    for (const auto& [name, g] : other.gauges_) {
-      gauges.emplace_back(name, g.get());
-    }
-    histograms.reserve(other.histograms_.size());
-    for (const auto& [name, h] : other.histograms_) {
-      histograms.emplace_back(name, h.get());
-    }
-  }
-  for (const auto& [name, c] : counters) counter(name).add(c->value());
-  for (const auto& [name, g] : gauges) {
-    Gauge& mine = gauge(name);
-    mine.set(std::max(mine.value(), g->value()));
-  }
-  for (const auto& [name, h] : histograms) histogram(name).merge_from(*h);
-}
-
 std::map<std::string, std::uint64_t> Registry::counter_values() const {
   const MutexLock lock(mu_);
   std::map<std::string, std::uint64_t> out;
@@ -225,95 +158,6 @@ std::map<std::string, double> Registry::gauge_values() const {
   std::map<std::string, double> out;
   for (const auto& [name, g] : gauges_) out.emplace(name, g->value());
   return out;
-}
-
-namespace {
-
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
-
-void Registry::write_json(std::ostream& out) const {
-  const MutexLock lock(mu_);
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_json_string(out, name);
-    out << ": " << counter->value();
-  }
-  out << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_json_string(out, name);
-    out << ": " << gauge->value();
-  }
-  out << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_json_string(out, name);
-    out << ": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-        << ", \"min\": " << h->min() << ", \"max\": " << h->max()
-        << ", \"p50\": " << h->quantile(0.50)
-        << ", \"p95\": " << h->quantile(0.95)
-        << ", \"p99\": " << h->quantile(0.99) << "}";
-  }
-  out << "\n  }\n}\n";
-}
-
-namespace {
-
-/// Prometheus metric names allow [a-zA-Z0-9_:] and a non-digit lead;
-/// our dotted names ("node.blocks_produced") map dots to underscores.
-std::string prometheus_name(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
-}  // namespace
-
-void Registry::write_prometheus(std::ostream& out) const {
-  const MutexLock lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    const std::string metric = prometheus_name(name);
-    out << "# TYPE " << metric << " counter\n"
-        << metric << " " << counter->value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    const std::string metric = prometheus_name(name);
-    out << "# TYPE " << metric << " gauge\n"
-        << metric << " " << gauge->value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string metric = prometheus_name(name);
-    out << "# TYPE " << metric << " summary\n"
-        << metric << "{quantile=\"0.5\"} " << h->quantile(0.50) << "\n"
-        << metric << "{quantile=\"0.95\"} " << h->quantile(0.95) << "\n"
-        << metric << "{quantile=\"0.99\"} " << h->quantile(0.99) << "\n"
-        << metric << "_sum " << h->sum() << "\n"
-        << metric << "_count " << h->count() << "\n";
-  }
 }
 
 void Registry::write_csv(std::ostream& out) const {

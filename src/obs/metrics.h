@@ -1,5 +1,5 @@
 // Metrics registry: named counters, gauges and log-bucketed histograms
-// with JSON and CSV export.
+// with CSV export.
 //
 // Lookup (counter()/gauge()/histogram()) takes the registry mutex and
 // returns a stable reference; cache it in hot loops. Updates on the
@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/thread_annotations.h"
 
@@ -74,14 +73,6 @@ class Histogram {
   /// Interpolated quantile estimate, q in [0, 1]; 0 when empty.
   double quantile(double q) const;
 
-  /// Fold another histogram into this one: buckets and counts add, min /
-  /// max widen. Concurrent observes on either side stay safe (the copy is
-  /// a relaxed snapshot, not an atomic transaction across instruments).
-  void merge_from(const Histogram& other);
-
-  /// Observations recorded in one bucket (exposed for merge tests).
-  std::uint64_t bucket_count(std::size_t bucket) const;
-
   /// Bucket index for a value (exposed for the boundary tests).
   static std::size_t bucket_index(double v);
   /// Inclusive lower / exclusive upper bound of a bucket.
@@ -114,27 +105,10 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Multi-node roll-up: fold every instrument of `other` into this
-  /// registry, creating same-named instruments on demand. Counters and
-  /// histograms add; gauges take the max of the two values (a gauge
-  /// cannot distinguish "never set" from 0.0, and for the fleet gauges we
-  /// export — depths, sizes, speedups — the per-node max is the roll-up a
-  /// dashboard wants; see DESIGN.md §12). Safe against concurrent updates
-  /// on either registry; don't merge a registry into itself.
-  void merge_from(const Registry& other);
-
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,
-  /// max,p50,p95,p99}}} with keys sorted (std::map iteration order).
-  void write_json(std::ostream& out) const;
   /// CSV rows (common/csv quoting): kind,name,value,p50,p95,p99.
   void write_csv(std::ostream& out) const;
-  /// Prometheus text exposition format: counters and gauges as single
-  /// samples, histograms as <name>{quantile="..."} summaries plus _count /
-  /// _sum. Names are sanitized to [a-zA-Z0-9_:] (dots become underscores).
-  void write_prometheus(std::ostream& out) const;
 
-  /// Point-in-time snapshots of the scalar instruments (for the
-  /// SnapshotWriter ring and tests).
+  /// Point-in-time snapshots of the scalar instruments (for tests).
   std::map<std::string, std::uint64_t> counter_values() const;
   std::map<std::string, double> gauge_values() const;
 

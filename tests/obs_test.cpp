@@ -18,7 +18,6 @@
 #include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 
 // ------------------------------------------------- allocation counting
@@ -125,12 +124,6 @@ TEST(Registry, InstrumentsAreStableAndExported) {
   registry.gauge("test.gauge").set(2.5);
   registry.histogram("test.hist").observe(5.0);
   EXPECT_EQ(registry.size(), 3u);
-
-  std::ostringstream json;
-  registry.write_json(json);
-  EXPECT_NE(json.str().find("\"test.count\": 3"), std::string::npos);
-  EXPECT_NE(json.str().find("\"test.gauge\": 2.5"), std::string::npos);
-  EXPECT_NE(json.str().find("\"p50\""), std::string::npos);
 
   std::ostringstream csv;
   registry.write_csv(csv);
@@ -302,137 +295,6 @@ TEST(Tracer, ConcurrentEmissionFromPoolWorkersIsComplete) {
   const TraceValidation v = validate_chrome_trace(out.str());
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_EQ(v.events, kEvents);
-}
-
-// ------------------------------------------------- registry aggregation
-
-TEST(Registry, MergeAddsCountersAndHistogramsTakesGaugeMax) {
-  Registry a;
-  Registry b;
-  a.counter("node.blocks").add(3);
-  b.counter("node.blocks").add(4);
-  b.counter("node.only_b").add(7);
-  a.gauge("node.depth").set(2.0);
-  b.gauge("node.depth").set(5.0);
-  a.histogram("node.lat").observe(1.0);
-  b.histogram("node.lat").observe(3.0);
-  b.histogram("node.lat").observe(100.0);
-
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("node.blocks").value(), 7u);
-  EXPECT_EQ(a.counter("node.only_b").value(), 7u);
-  EXPECT_DOUBLE_EQ(a.gauge("node.depth").value(), 5.0);  // max roll-up
-  const Histogram& h = a.histogram("node.lat");
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 104.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_EQ(h.bucket_count(Histogram::bucket_index(1.0)), 1u);
-  EXPECT_EQ(h.bucket_count(Histogram::bucket_index(3.0)), 1u);
-  EXPECT_EQ(h.bucket_count(Histogram::bucket_index(100.0)), 1u);
-  // b is untouched.
-  EXPECT_EQ(b.counter("node.blocks").value(), 4u);
-  EXPECT_EQ(b.histogram("node.lat").count(), 2u);
-}
-
-TEST(Registry, MergeIntoEmptyHistogramPreservesExtremes) {
-  // The untouched side's min/max start at +/-inf; merging must not let
-  // those leak into the result.
-  Registry a;
-  Registry b;
-  b.histogram("h").observe(4.0);
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.histogram("h").min(), 4.0);
-  EXPECT_DOUBLE_EQ(a.histogram("h").max(), 4.0);
-  // Merging an empty histogram into a populated one is a no-op.
-  Registry empty;
-  empty.histogram("h");
-  a.merge_from(empty);
-  EXPECT_EQ(a.histogram("h").count(), 1u);
-  EXPECT_DOUBLE_EQ(a.histogram("h").min(), 4.0);
-}
-
-TEST(Registry, PrometheusExposition) {
-  Registry registry;
-  registry.counter("exec.txs_total").add(42);
-  registry.gauge("pool.depth").set(1.5);
-  for (int i = 0; i < 4; ++i) registry.histogram("exec.wall_us").observe(1.0);
-
-  std::ostringstream out;
-  registry.write_prometheus(out);
-  const std::string text = out.str();
-  // Dots sanitize to underscores; counters/gauges are single samples.
-  EXPECT_NE(text.find("# TYPE exec_txs_total counter"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("exec_txs_total 42"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE pool_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("pool_depth 1.5"), std::string::npos);
-  // Histograms export as summaries with quantiles + _sum/_count.
-  EXPECT_NE(text.find("# TYPE exec_wall_us summary"), std::string::npos);
-  EXPECT_NE(text.find("exec_wall_us{quantile=\"0.5\"} 1.5"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("exec_wall_us_sum 4"), std::string::npos);
-  EXPECT_NE(text.find("exec_wall_us_count 4"), std::string::npos);
-}
-
-// ------------------------------------------------------- snapshot writer
-
-TEST(SnapshotWriter, RingDropsOldestBeyondCapacity) {
-  Registry registry;
-  SnapshotWriter::Options options;
-  options.capacity = 2;
-  SnapshotWriter writer(&registry, options);
-  EXPECT_EQ(writer.size(), 0u);
-  EXPECT_EQ(writer.latest().ts_ms, 0u);  // default-constructed when empty
-
-  registry.counter("c").add(1);
-  writer.snapshot(10);
-  registry.counter("c").add(1);
-  writer.snapshot(20);
-  registry.counter("c").add(1);
-  writer.snapshot(30);
-  EXPECT_EQ(writer.size(), 2u);  // ts 10 evicted
-  EXPECT_EQ(writer.latest().ts_ms, 30u);
-  EXPECT_EQ(writer.latest().counters.at("c"), 3u);
-}
-
-TEST(SnapshotWriter, RatesPerSecondFromCounterDeltas) {
-  Registry registry;
-  SnapshotWriter writer(&registry);
-  EXPECT_TRUE(writer.rates_per_second().empty());  // < 2 snapshots
-
-  writer.snapshot(1000);  // counter not yet registered: counts from 0
-  registry.counter("node.txs").add(500);
-  registry.gauge("g").set(9.0);  // gauges carry no rate
-  writer.snapshot(3000);
-  const auto rates = writer.rates_per_second();
-  ASSERT_TRUE(rates.contains("node.txs"));
-  EXPECT_DOUBLE_EQ(rates.at("node.txs"), 250.0);  // 500 over 2 seconds
-  EXPECT_FALSE(rates.contains("g"));
-}
-
-TEST(SnapshotWriter, WriteJsonRoundTrip) {
-  Registry registry;
-  registry.counter("c").add(2);
-  registry.gauge("g").set(0.5);
-  SnapshotWriter writer(&registry);
-  writer.snapshot(7);
-  std::ostringstream out;
-  writer.write_json(out);
-  EXPECT_NE(out.str().find("\"ts_ms\": 7"), std::string::npos) << out.str();
-  EXPECT_NE(out.str().find("\"c\": 2"), std::string::npos);
-  EXPECT_NE(out.str().find("\"g\": 0.5"), std::string::npos);
-}
-
-TEST(SnapshotWriter, TickRateLimitsOnSteadyClock) {
-  Registry registry;
-  SnapshotWriter::Options options;
-  options.min_interval_ms = 60'000;  // nothing in this test waits that long
-  SnapshotWriter writer(&registry, options);
-  writer.tick();
-  writer.tick();
-  writer.tick();
-  EXPECT_EQ(writer.size(), 1u);  // first tick captures, the rest rate-limit
 }
 
 // ---------------------------------------------------------- causal spans

@@ -6,7 +6,6 @@
 //
 //   txconc_contend [--engine=<name>] [--threads=N] [--blocks=N]
 //                  [--seed=S] [--format=text|json] [--top=K]
-//                  [--no-predict]
 //
 // Exit codes (mirroring txconc_profile):
 //   0  every block passes the self-consistency gates
@@ -38,8 +37,7 @@ using namespace txconc;
 int usage() {
   std::cerr << "usage: txconc_contend [--engine=<name>] [--threads=N] "
                "[--blocks=N] [--seed=S]\n"
-               "                      [--format=text|json] [--top=K] "
-               "[--no-predict]\n"
+               "                      [--format=text|json] [--top=K]\n"
                "  registered engines: "
             << exec::registry_names() << "\n";
   return 2;
@@ -103,7 +101,6 @@ int main(int argc, char** argv) {
   std::uint64_t blocks = 1;
   std::uint64_t seed = 42;
   std::size_t top_k = 10;
-  bool predict = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--engine=", 0) == 0) {
@@ -128,8 +125,6 @@ int main(int argc, char** argv) {
       const auto k = parse_uint(arg.substr(6));
       if (!k) return usage();
       top_k = static_cast<std::size_t>(*k);
-    } else if (arg == "--no-predict") {
-      predict = false;
     } else {
       return usage();
     }
@@ -158,7 +153,6 @@ int main(int argc, char** argv) {
   for (const exec::ExecutorSpec* spec : specs) {
     const auto executor = spec->make(threads);
     exec::ContentionProbe probe;
-    probe.set_predict(predict);
     obs::Scope scope;
     scope.contention = probe.sink();
     exec::HistoryReplayer replayer(profile, seed, skip);
