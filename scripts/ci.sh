@@ -244,6 +244,10 @@ if lane_enabled tsan; then
   # every pool/executor span-emission path executes under TSan.
   TSAN_OPTIONS=halt_on_error=1 TXCONC_TRACE=build-tsan/exec_trace.json \
     ./build-tsan/tests/exec_test
+  # The pool's batch handoff (publish, join, close, leave) under many
+  # schedules: the ThreadPool cases, repeated.
+  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/exec_test \
+    --gtest_filter='ThreadPool.*' --gtest_repeat=100
   TSAN_OPTIONS=halt_on_error=1 TXCONC_CONFORMANCE_FAST=1 \
     ./build-tsan/tests/conformance_test
   TSAN_OPTIONS=halt_on_error=1 TXCONC_CONFORMANCE_FAST=1 \

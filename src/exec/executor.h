@@ -25,10 +25,10 @@ namespace txconc::exec {
 /// the exec.conflict_stall_us histogram; the critical-path buckets
 /// (DESIGN.md §16) split the rest of the wall clock when tracing is on.
 struct SchedulingBreakdown {
-  /// Pool queue tasks run on behalf of this block (worker wakeups);
-  /// bounded by O(num_workers) per parallel_for call, not O(num_txs).
+  /// Pool workers that joined one of this block's batches (worker
+  /// wakeups); at most num_workers per parallel_for call, not O(num_txs).
   std::uint64_t pool_tasks = 0;
-  /// parallel_for grains executed, and how many of them the submitting
+  /// parallel_for grains executed, and how many of them the calling
   /// thread drained itself (caller-runs share).
   std::uint64_t grains = 0;
   std::uint64_t grains_caller_run = 0;

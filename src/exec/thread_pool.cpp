@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <memory>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -55,21 +57,20 @@ bool ThreadPool::grain_hook_installed() {
   return g_grain_hook_installed.load(std::memory_order_acquire);
 }
 
-/// Shared state of one parallel_for call. Helper tasks hold a shared_ptr
-/// so a helper that wakes up after the caller returned (having found the
-/// cursor exhausted) still touches valid memory.
+/// One parallel_for call, on its caller's stack: the caller returns only
+/// after every worker that joined has left.
 struct ThreadPool::Batch {
-  std::size_t count = 0;
-  std::size_t grain = 1;
-  std::size_t num_grains = 0;
-  const SlotFn* fn = nullptr;
+  Batch(std::size_t n, std::size_t g, const SlotFn& f)
+      : count(n), grain(g), num_grains((n + g - 1) / g), fn(&f) {}
 
+  const std::size_t count;
+  const std::size_t grain;
+  const std::size_t num_grains;
+  const SlotFn* const fn;
   std::atomic<std::size_t> next{0};  ///< grain cursor
-  std::atomic<std::size_t> done{0};  ///< completed (or skipped) grains
   std::atomic<bool> failed{false};
-  Mutex m;
-  CondVar cv;
-  std::exception_ptr error GUARDED_BY(m);  ///< first grain exception
+  /// First grain exception, written only by the grain that flips failed.
+  std::exception_ptr error;
 };
 
 ThreadPool::ThreadPool(unsigned num_threads, const char* name)
@@ -92,24 +93,11 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  {
-    const MutexLock lock(mutex_);
-    if (stopping_) throw UsageError("ThreadPool: submit after shutdown");
-    queue_.push([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::run_grains(Batch& batch, unsigned slot) {
   std::uint64_t ran = 0;
   for (;;) {
     // ordering: relaxed — the cursor only partitions indices; batch data
-    // is published by the queue mutex, completion by the acq_rel on done.
+    // is published by mutex_ at join, completion by mutex_ at leave.
     const std::size_t g = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (g >= batch.num_grains) break;
     // ordering: acquire pairs with swap_grain_hook's release publication.
@@ -119,32 +107,20 @@ void ThreadPool::run_grains(Batch& batch, unsigned slot) {
         (*hook)(g_grain_seq.fetch_add(1, std::memory_order_relaxed));
       }
     }
-    // ordering: relaxed — failed is a best-effort skip hint; the error
-    // itself travels under batch.m.
-    if (!batch.failed.load(std::memory_order_relaxed)) {
-      // Only grains whose body runs count towards grains_total; grains
-      // claimed after a failure are skipped work and would otherwise
-      // inflate the per-block sched counters (they used to).
-      ++ran;
-      const std::size_t begin = g * batch.grain;
-      const std::size_t end = std::min(batch.count, begin + batch.grain);
-      try {
-        for (std::size_t i = begin; i < end; ++i) (*batch.fn)(slot, i);
-      } catch (...) {
-        const MutexLock lock(batch.m);
-        if (!batch.error) batch.error = std::current_exception();
-        // ordering: relaxed — hint only; error publication is the mutex.
-        batch.failed.store(true, std::memory_order_relaxed);
+    // Grains claimed after a failure are skipped and, having done no
+    // work, not counted. ordering: relaxed — failed is a skip hint only.
+    if (batch.failed.load(std::memory_order_relaxed)) continue;
+    ++ran;
+    const std::size_t begin = g * batch.grain;
+    const std::size_t end = std::min(batch.count, begin + batch.grain);
+    try {
+      for (std::size_t i = begin; i < end; ++i) (*batch.fn)(slot, i);
+    } catch (...) {
+      // The one grain that flips the flag owns error; the caller reads it
+      // after every participant has left (mutex_).
+      if (!batch.failed.exchange(true)) {
+        batch.error = std::current_exception();
       }
-    }
-    // ordering: acq_rel — see every finished grain's writes and publish
-    // ours to the waiter's acquire load of done in parallel_for_slots.
-    if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        batch.num_grains) {
-      // Taking the lock pairs with the caller's predicate check so the
-      // final notify cannot slip between its check and its wait.
-      const MutexLock lock(batch.m);
-      batch.cv.notify_all();
     }
   }
   // ordering: relaxed — statistical counters, read via stats() only.
@@ -165,58 +141,40 @@ void ThreadPool::parallel_for_slots(std::size_t count, const SlotFn& fn,
   // ordering: relaxed — statistical counter, read via stats() only.
   parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
 
-  const std::size_t workers = size();
   if (grain == 0) {
     // A few grains per worker balances load without shrinking chunks to
     // the point where the cursor becomes contended again.
-    grain = std::max<std::size_t>(1, count / (workers * 4));
+    grain = std::max<std::size_t>(1, count / (size() * 4));
   }
-  auto batch = std::make_shared<Batch>();
-  batch->count = count;
-  batch->grain = grain;
-  batch->num_grains = (count + grain - 1) / grain;
-  batch->fn = &fn;
+  Batch batch(count, grain, fn);
 
-  // One helper per worker, capped at the grains the caller won't need to
-  // run alone. Correctness never depends on helpers actually running: the
-  // caller drains the cursor itself, which is what makes nested calls
-  // (every worker busy, helpers stuck behind us in the queue) safe.
-  const std::size_t helpers =
-      std::min<std::size_t>(workers, batch->num_grains - 1);
-  if (helpers > 0) {
-    {
-      const MutexLock lock(mutex_);
-      if (!stopping_) {
-        for (std::size_t h = 0; h < helpers; ++h) {
-          const unsigned slot = static_cast<unsigned>(h) + 1;
-          queue_.push([this, batch, slot] { run_grains(*batch, slot); });
-        }
-      }
-    }
-    if (helpers == 1) {
-      cv_.notify_one();
-    } else {
-      cv_.notify_all();
+  // Publish only when a worker has a grain to take and the slot is free.
+  // A nested or concurrent caller finds it busy and drains its own cursor
+  // alone: never depending on a worker is what makes nesting safe.
+  bool published = false;
+  if (batch.num_grains > 1) {
+    const MutexLock lock(mutex_);
+    published = batch_ == nullptr;
+    if (published) {
+      batch_ = &batch;
+      open_ = true;
+      ++generation_;
     }
   }
+  if (published) cv_.notify_all();
 
-  run_grains(*batch, /*slot=*/0);
+  run_grains(batch, /*slot=*/0);
 
-  std::exception_ptr error;
-  {
-    const MutexLock lock(batch->m);
-    // The done counter is an atomic, not guarded state; the lock pairs
-    // with the final notifier so the wakeup cannot be lost.
-    // ordering: acquire pairs with the workers' acq_rel increments.
-    while (batch->done.load(std::memory_order_acquire) != batch->num_grains) {
-      batch->cv.wait(batch->m);
-    }
-    // Reading the error under the lock is what the annotations require —
-    // the pre-annotation code read it after the wait scope, relying on the
-    // acquire load above for visibility (see DESIGN.md §10).
-    error = batch->error;
+  if (published) {
+    // The cursor is drained: close the batch to new joins, wait for the
+    // workers inside it, then free the slot. Their leaves, under mutex_,
+    // also publish their grains' writes and batch.error to this thread.
+    const MutexLock lock(mutex_);
+    open_ = false;
+    while (joined_ != 0) left_cv_.wait(mutex_);
+    batch_ = nullptr;
   }
-  if (error) std::rethrow_exception(error);
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 ThreadPoolStats ThreadPool::stats() const {
@@ -232,50 +190,43 @@ ThreadPoolStats ThreadPool::stats() const {
 
 void ThreadPool::worker_loop(unsigned worker_index) {
   obs::set_thread_label(label_, static_cast<int>(worker_index));
-  // The gap histogram attributes scheduler idleness (time between
-  // finishing one task and dequeuing the next); only recorded while the
-  // global tracer is enabled so the quiescent path stays clock-free.
-  // Caller-run grains never feed it: they are not dequeues, and the
-  // submitting thread was busy, not idle (see the pinned-count test).
-  obs::Histogram* gap_histogram = nullptr;
-  std::chrono::steady_clock::time_point idle_since;
-  bool idle_since_valid = false;
+  const unsigned slot = worker_index + 1;
+  // The gap histogram attributes scheduler idleness (time between leaving
+  // one batch and joining the next); only recorded while the global
+  // tracer is enabled so the quiescent path stays clock-free.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point idle_since{};  // zero unless it left a batch traced
+  std::uint64_t seen_generation = 0;
   for (;;) {
-    std::function<void()> task;
+    Batch* batch = nullptr;
     {
       const MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) {
+      while (!stopping_ && !(open_ && generation_ != seen_generation)) {
         cv_.wait(mutex_);
       }
-      if (queue_.empty()) {
-        // stopping_ must be set: the wait loop only exits on stop or work.
-        return;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    if (obs::Tracer::global().enabled()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (idle_since_valid) {
-        if (gap_histogram == nullptr) {
-          gap_histogram =
-              &obs::Registry::global().histogram(
-                  obs::names::kMetricPoolDequeueGapUs);
-        }
-        gap_histogram->observe(
-            std::chrono::duration<double, std::micro>(now - idle_since)
-                .count());
-      }
-      TXCONC_SPAN(obs::names::kSpanPoolTask, obs::names::kCatPool);
-      task();
-      idle_since = std::chrono::steady_clock::now();
-      idle_since_valid = true;
-    } else {
-      task();
-      idle_since_valid = false;
+      if (stopping_) return;
+      batch = batch_;
+      seen_generation = generation_;
+      ++joined_;
     }
     // ordering: relaxed — statistical counter, read via stats() only.
     tasks_run_.fetch_add(1, std::memory_order_relaxed);
+    const bool traced = obs::Tracer::global().enabled();
+    if (traced && idle_since != Clock::time_point{}) {
+      static obs::Histogram& gap = obs::Registry::global().histogram(
+          obs::names::kMetricPoolDequeueGapUs);
+      gap.observe(
+          std::chrono::duration<double, std::micro>(Clock::now() - idle_since)
+              .count());
+    }
+    {
+      TXCONC_SPAN(obs::names::kSpanPoolTask, obs::names::kCatPool);
+      run_grains(*batch, slot);
+    }
+    idle_since = traced ? Clock::now() : Clock::time_point{};
+    // Leave: past this point the caller may return and free the batch.
+    const MutexLock lock(mutex_);
+    if (--joined_ == 0) left_cv_.notify_one();
   }
 }
 

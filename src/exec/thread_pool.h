@@ -1,16 +1,14 @@
-// A fixed-size thread pool with a blocking task queue and a chunked,
-// deadlock-safe parallel_for.
+// A fixed-size thread pool that runs one fork-join batch at a time: a
+// chunked, deadlock-safe parallel_for with no task queue.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
+#include "common/hot_path.h"
 #include "common/thread_annotations.h"
 
 namespace txconc::exec {
@@ -18,24 +16,26 @@ namespace txconc::exec {
 /// Monotonic scheduling counters, accumulated over the pool's lifetime.
 /// Executors diff two snapshots to attribute overhead to one block.
 struct ThreadPoolStats {
-  /// Queue tasks executed by worker threads (submit() tasks plus the
-  /// per-worker helper tasks parallel_for enqueues).
+  /// Workers that joined a batch (worker wakeups): at most size() per
+  /// parallel_for call.
   std::uint64_t tasks_run = 0;
   std::uint64_t parallel_for_calls = 0;
   /// Contiguous index grains whose body actually ran, across all
   /// parallel_for calls. Grains claimed after a failure was recorded are
   /// skipped and NOT counted (they did no work).
   std::uint64_t grains_total = 0;
-  /// Grains the submitting thread drained itself (caller-runs share);
-  /// always > 0 when the pool is saturated or the call is nested.
+  /// Grains the calling thread drained itself (caller-runs share);
+  /// always > 0 when the pool is busy or the call is nested.
   std::uint64_t grains_caller_run = 0;
 };
 
-/// Fixed worker pool. Tasks are std::function<void()>; submit() returns a
-/// future for completion/exception propagation. Destruction drains the
-/// queue then joins the workers.
+/// Fixed worker pool with one batch slot and no task queue. A
+/// parallel_for publishes its batch in the slot; parked workers join it,
+/// drain the grain cursor alongside the caller, and leave. The call
+/// returns once every worker that joined has left, so the batch lives on
+/// the caller's stack and a warm call allocates nothing.
 ///
-/// Lock discipline (checked by the `tsa` CI lane): the queue and the
+/// Lock discipline (checked by the `tsa` CI lane): the slot state and the
 /// stopping flag are guarded by mutex_; the scheduling counters are
 /// atomics and deliberately unguarded.
 class ThreadPool {
@@ -49,20 +49,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task; the future resolves when it finishes (or rethrows).
-  /// Blocking on the future from inside a pool task can deadlock (the
-  /// waiting worker holds the only free slot) — use parallel_for for
-  /// nested fan-out instead.
-  std::future<void> submit(std::function<void()> task);
-
   /// Run fn(i) for i in [0, count) across the pool and wait for all.
   ///
   /// The range is split into contiguous grains claimed through an atomic
-  /// cursor; only one helper task per worker is enqueued (O(size())
-  /// allocations and queue operations per call, not O(count)). The calling
-  /// thread claims grains too (caller-runs), so a pool task may itself
-  /// call parallel_for without deadlocking even when every worker is busy:
-  /// the nested caller simply drains its own grains.
+  /// cursor, by the calling thread too (caller-runs). A caller that finds
+  /// the slot busy — a nested call from inside a grain, or a concurrent
+  /// caller — runs all of its grains alone, so nesting never deadlocks.
   ///
   /// The first exception thrown by any grain is captured and rethrown
   /// exactly once after the whole range has completed; grains claimed
@@ -75,18 +67,17 @@ class ThreadPool {
                     std::size_t grain = 0);
 
   /// parallel_for variant whose fn also receives a stable execution-slot
-  /// id in [0, size()]: the calling thread always claims slot 0 and the
-  /// h-th helper task claims slot h+1. Each helper is a distinct queue
-  /// entry and a worker runs one task at a time, so two concurrently
-  /// running grains never share a slot — engines index per-worker scratch
+  /// id in [0, size()]: the caller is slot 0 and worker w, which joins a
+  /// batch at most once, is slot w+1. Two concurrently running grains of
+  /// one call never share a slot — engines index per-worker scratch
   /// (overlays, trackers, accumulators) by it without locks.
   ///
   /// Caveat: slot ids are per-call, so a NESTED slotted call reuses slot
   /// ids already live in the outer call. The engines only fan out one
   /// level; keep it that way for slot-indexed scratch.
   using SlotFn = std::function<void(unsigned slot, std::size_t i)>;
-  void parallel_for_slots(std::size_t count, const SlotFn& fn,
-                          std::size_t grain = 0);
+  TXCONC_HOT void parallel_for_slots(std::size_t count, const SlotFn& fn,
+                                     std::size_t grain = 0);
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
@@ -127,16 +118,23 @@ class ThreadPool {
   };
 
  private:
-  struct Batch;  // shared state of one parallel_for call
+  struct Batch;  // one parallel_for call, on its caller's stack
 
   void worker_loop(unsigned worker_index);
-  void run_grains(Batch& batch, unsigned slot);
+  TXCONC_HOT void run_grains(Batch& batch, unsigned slot);
 
   const char* label_;                 // interned pool name (see obs/trace.h)
   std::vector<std::thread> workers_;  // written once in the constructor
   Mutex mutex_;
-  CondVar cv_;
-  std::queue<std::function<void()>> queue_ GUARDED_BY(mutex_);
+  CondVar cv_;       // parked workers wait here for the next batch
+  CondVar left_cv_;  // a caller waits here for its workers to leave
+  // The batch slot: a published batch stays in it until every worker that
+  // joined has left, and takes joins only until its caller closes it. A
+  // worker joins each generation (published batch) at most once.
+  Batch* batch_ GUARDED_BY(mutex_) = nullptr;
+  bool open_ GUARDED_BY(mutex_) = false;
+  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
+  unsigned joined_ GUARDED_BY(mutex_) = 0;
   bool stopping_ GUARDED_BY(mutex_) = false;
 
   std::atomic<std::uint64_t> tasks_run_{0};

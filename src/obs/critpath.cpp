@@ -165,15 +165,13 @@ ParsedTrace parse_trace(const std::string& json) {
   if (reader.failed()) return fail(reader.error());
   if (!saw_array) return fail("no traceEvents array");
 
-  // Repair spans whose 'E' never made it into the trace. This is a real
-  // serialization race, not a bug in the emitters: a worker's final
-  // pool_task end is pushed after the grain-completion notify that wakes
-  // the exporting thread, so a trace written right after a join can miss
-  // it. Left zero-length, such a span would book its children's busy
-  // time into the buckets while the thread also books a full wall of
-  // idle (the children no longer overlap any top-level span), breaking
-  // the sum invariant from above. Extending the span to its last
-  // finished descendant restores the nesting the emitter intended.
+  // Repair spans whose 'E' never made it into the trace: a trace written
+  // while a span is still open misses its end. Left zero-length, such a
+  // span would book its children's busy time into the buckets while the
+  // thread also books a full wall of idle (the children no longer overlap
+  // any top-level span), breaking the sum invariant from above. Extending
+  // the span to its last finished descendant restores the nesting the
+  // emitter intended.
   // Reverse index order repairs children before their parents (a span's
   // children always carry higher indices than the span itself).
   std::vector<char> unclosed(out.spans.size(), 0);

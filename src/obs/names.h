@@ -43,7 +43,7 @@ inline constexpr const char* kSpanValidate = "validate";
 /// A scheduler participant waiting for claimable work (dependency wait);
 /// arg = participant slot.
 inline constexpr const char* kSpanWait = "wait";
-/// One dequeued pool task (covers a worker's whole batch participation).
+/// One worker's participation in one pool batch, from join to leave.
 inline constexpr const char* kSpanPoolTask = "pool_task";
 
 // ------------------------------------------------------ instant events

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <future>
 #include <string>
+#include <thread>
 #include <unordered_set>
 
 #include "account/contracts.h"
@@ -56,22 +57,31 @@ Address addr(std::uint64_t seed) { return Address::from_seed(seed); }
 
 // --------------------------------------------------------------- thread pool
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
+// Parks every worker of a pool inside an outer parallel_for, run from a
+// std::async thread, whose size()+1 one-index grains each signal entry
+// and then wait for release(); any other call must drain its own grains.
+struct ParkedPool {
+  explicit ParkedPool(ThreadPool& pool)
+      : outer(std::async(std::launch::async, [this, &pool] {
+          pool.parallel_for(pool.size() + 1, [this](std::size_t) {
+            ++entered;
+            gate.wait();
+          }, /*grain=*/1);
+        })) {
+    while (entered.load() < pool.size() + 1) std::this_thread::yield();
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
+  ~ParkedPool() { release(); }
+  void release() {
+    if (!outer.valid()) return;
+    open.set_value();
+    outer.get();
+  }
 
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
+  std::promise<void> open;
+  std::shared_future<void> gate = open.get_future().share();
+  std::atomic<unsigned> entered{0};
+  std::future<void> outer;  // last: its thread reads the members above
+};
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
@@ -117,9 +127,9 @@ TEST(ThreadPool, ParallelForEnqueuesPerWorkerNotPerElement) {
   const ThreadPoolStats after = pool.stats();
   EXPECT_EQ(sum.load(), 5000u * 4999u / 2);
   EXPECT_EQ(after.parallel_for_calls - before.parallel_for_calls, 1u);
-  // O(num_workers) queue work, not O(count): at most one helper task per
-  // worker (stragglers from the warm-up call may add a few no-op wakeups).
-  EXPECT_LE(after.tasks_run - before.tasks_run, 2u * pool.size());
+  // O(num_workers) wakeups, not O(count): each worker joins the batch at
+  // most once, and every worker has left before the call returns.
+  EXPECT_LE(after.tasks_run - before.tasks_run, pool.size());
   // All grains are accounted for.
   const std::uint64_t grains = after.grains_total - before.grains_total;
   EXPECT_GE(grains, 1u);
@@ -160,16 +170,15 @@ TEST(ThreadPool, NestedParallelForCompletes) {
   delete pool;
 }
 
-// Deterministic counter audit: park the single worker behind a gate so
-// the CALLING thread must drain every grain alone, then pin the stats
+// Deterministic counter audit: park the single worker in another batch
+// so the CALLING thread must drain every grain alone, then pin the stats
 // deltas exactly. grains_total counts only grains whose body ran —
 // grains claimed after a failure are skipped work and must not count
 // (they used to, inflating the per-block sched counters after any
 // grain threw).
 TEST(ThreadPool, GrainsTotalCountsOnlyBodiesThatRan) {
   ThreadPool pool(1);
-  std::promise<void> release;
-  auto gate = pool.submit([f = release.get_future().share()] { f.wait(); });
+  ParkedPool parked(pool);
 
   const ThreadPoolStats before = pool.stats();
   int bodies_run = 0;
@@ -187,18 +196,14 @@ TEST(ThreadPool, GrainsTotalCountsOnlyBodiesThatRan) {
   EXPECT_EQ(bodies_run, 1);
   EXPECT_EQ(after.grains_total - before.grains_total, 1u);
   EXPECT_EQ(after.grains_caller_run - before.grains_caller_run, 1u);
-
-  release.set_value();
-  gate.get();
 }
 
-// Same gated-worker setup, success path: the caller drains all grains,
+// Same parked-worker setup, success path: the caller drains all grains,
 // so the caller-run share equals the total — no grain is double-counted
-// between the caller and the (parked) helper.
+// between the caller and the (parked) worker.
 TEST(ThreadPool, CallerDrainsEveryGrainWhenWorkerIsBusy) {
   ThreadPool pool(1);
-  std::promise<void> release;
-  auto gate = pool.submit([f = release.get_future().share()] { f.wait(); });
+  ParkedPool parked(pool);
 
   const ThreadPoolStats before = pool.stats();
   std::atomic<int> sum{0};
@@ -207,18 +212,13 @@ TEST(ThreadPool, CallerDrainsEveryGrainWhenWorkerIsBusy) {
   EXPECT_EQ(sum.load(), 40);
   EXPECT_EQ(after.grains_total - before.grains_total, 10u);
   EXPECT_EQ(after.grains_caller_run - before.grains_caller_run, 10u);
-
-  release.set_value();
-  gate.get();
 }
 
-// Metric-skew audit for pool.dequeue_gap_us: the histogram measures
-// worker idle time between QUEUE TASK dequeues. Caller-run grains are
-// not dequeues (the submitting thread was busy, not idle), so a
-// parallel_for drained entirely by the caller contributes gap samples
-// only for its helper task — never one per grain. A regression that
-// observed the gap per grain would skew the scheduling attribution by
-// an order of magnitude.
+// Metric-skew audit for pool.dequeue_gap_us: the histogram measures a
+// worker's idle time between leaving one batch and joining the next. A
+// parallel_for drained entirely by the (busy, not idle) caller adds no
+// sample — a regression that observed the gap per grain would skew the
+// scheduling attribution by an order of magnitude.
 TEST(ThreadPool, CallerRunGrainsDoNotFeedDequeueGapHistogram) {
   const bool was_enabled = obs::Tracer::global().enabled();
   obs::Tracer::global().enable();  // gap sampling is tracer-gated
@@ -227,10 +227,9 @@ TEST(ThreadPool, CallerRunGrainsDoNotFeedDequeueGapHistogram) {
     ThreadPool pool(1);
     obs::Histogram& gap =
         obs::Registry::global().histogram("pool.dequeue_gap_us");
-    // Park the worker. Its dequeue of the gate task records no gap: the
-    // fresh worker has no previous-task timestamp.
-    std::promise<void> release;
-    auto gate = pool.submit([f = release.get_future().share()] { f.wait(); });
+    // Park the worker. Its join of the parked batch records no gap: the
+    // fresh worker has not left a batch yet.
+    ParkedPool parked(pool);
     const std::uint64_t gap_before = gap.count();
     const ThreadPoolStats stats_before = pool.stats();
 
@@ -240,11 +239,10 @@ TEST(ThreadPool, CallerRunGrainsDoNotFeedDequeueGapHistogram) {
     ASSERT_EQ(pool.stats().grains_caller_run - stats_before.grains_caller_run,
               32u);
 
-    release.set_value();
-    gate.get();
-    // Two dequeues follow the gate task: the parked helper task and this
-    // sentinel — so exactly two gap samples despite 32 caller-run grains.
-    pool.submit([] {}).get();
+    parked.release();
+    // Two joins follow the parked batch (each sentinel parks the worker
+    // again): exactly two gap samples despite 32 caller-run grains.
+    for (int sentinel = 0; sentinel < 2; ++sentinel) ParkedPool(pool).release();
     EXPECT_EQ(gap.count() - gap_before, 2u);
   }
 
@@ -313,6 +311,39 @@ TEST(ThreadPool, ParallelForThrowsExactlyOnce) {
   std::atomic<int> counter{0};
   pool.parallel_for(50, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 50);
+}
+
+// Slot contract: within one call the caller is slot 0 and each worker
+// that joins is its own slot, so no two running grains share one.
+TEST(ThreadPool, SlotIdsAreExclusiveWithinACall) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<bool>> in_use(pool.size() + 1);
+  const ThreadPool::SlotFn fn = [&](unsigned slot, std::size_t) {
+    ASSERT_LE(slot, pool.size());
+    EXPECT_FALSE(in_use[slot].exchange(true)) << "slot " << slot << " shared";
+    std::this_thread::yield();
+    in_use[slot] = false;
+  };
+  for (int call = 0; call < 200; ++call) {
+    pool.parallel_for_slots(pool.size() + 1, fn, /*grain=*/1);
+  }
+}
+
+// Two threads share one pool: whichever finds the slot busy runs its
+// grains alone, and every call still covers its own range exactly once.
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRange) {
+  ThreadPool pool(3);
+  const auto caller = [&pool] {
+    std::vector<std::atomic<int>> hits(64);
+    for (int call = 1; call <= 500; ++call) {
+      pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; },
+                        /*grain=*/1);
+      for (const auto& h : hits) ASSERT_EQ(h.load(), call);
+    }
+  };
+  auto other = std::async(std::launch::async, caller);
+  caller();
+  other.get();
 }
 
 // ----------------------------------------------------- simulated-time models

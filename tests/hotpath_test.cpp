@@ -25,6 +25,7 @@
 #include "exec/block_stm.h"
 #include "exec/executor.h"
 #include "exec/scratch.h"
+#include "exec/thread_pool.h"
 
 // ------------------------------------------------- allocation counting
 // Same counting override as obs_test.cpp: a single relaxed atomic per
@@ -390,6 +391,22 @@ TEST(ContractCallHotPath, WarmNestedCallDoesNotAllocate) {
   EXPECT_EQ(receipt.return_value, 3u);  // two relay hops, plain-send 1
   EXPECT_EQ(receipt.internal_txs.size(), 2u);
   EXPECT_EQ(ws.overlay.balance(addr(4)), 9u);
+}
+
+// ------------------------------------------------- thread-pool handoff
+
+// The pool hands a batch to its workers through one slot, with the batch
+// on the caller's stack and no task queue: a warm call never allocates.
+TEST(ThreadPoolHotPath, WarmParallelForSlotsDoesNotAllocate) {
+  exec::ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  const exec::ThreadPool::SlotFn fn = [&ran](unsigned, std::size_t) { ++ran; };
+  for (int warm = 0; warm < 10; ++warm) pool.parallel_for_slots(4, fn, 1);
+  const std::uint64_t before = allocations();
+  for (int call = 0; call < 1000; ++call) pool.parallel_for_slots(4, fn, 1);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "a warm parallel_for_slots handoff must not allocate";
+  EXPECT_EQ(ran.load(), 1010 * 4);
 }
 
 // Engine-level regression bound: a warmed speculative executor's
