@@ -37,7 +37,7 @@
 
 #include "account/runtime.h"
 #include "common/error.h"
-#include "exec/sched_trace.h"
+#include "exec/block_frame.h"
 #include "exec/scratch.h"
 #include "exec/thread_pool.h"
 #include "obs/names.h"
@@ -429,28 +429,17 @@ class BlockStmExecutor final : public BlockExecutor {
   ExecutionReport execute_block(
       account::StateDb& state, std::span<const AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc("block-stm");
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer,
-                       options_.deterministic ? 1 : pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
+    BlockFrame frame("block-stm", &pool_,
+                     options_.deterministic ? 1 : pool_.size() + 1,
+                     transactions, config);
+    ExecutionReport& report = frame.report();
 
     {
       // Block-STM predicts nothing a-priori — dependencies are discovered
       // by executing — but the empty span keeps the predict / schedule /
       // execute / commit phase contract every parallel engine shares
       // (bench/ablation_engines validates the set from the trace).
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
     }
 
     n_ = transactions.size();
@@ -458,17 +447,15 @@ class BlockStmExecutor final : public BlockExecutor {
     config_ = &config;
     base_ = &state;
     report_ = &report;
-    tracer_ = tracer;
+    tracer_ = frame.tracer();
     sink_ = obs::contention(config.obs);
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanSchedule);
       prepare_block();
     }
 
     if (n_ > 0) {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanExecute);
       if (options_.deterministic) {
         worker_body(0);
       } else {
@@ -481,8 +468,7 @@ class BlockStmExecutor final : public BlockExecutor {
 
     double commit_seconds = 0.0;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       const auto commit_start = std::chrono::steady_clock::now();
       commit(state);
       commit_seconds = seconds_since(commit_start);
@@ -507,23 +493,11 @@ class BlockStmExecutor final : public BlockExecutor {
         obs::AbortReason::kBlockStmValidationFail)] =
         // ordering: relaxed — quiescent read-back, as above.
         aborts_.load(std::memory_order_relaxed);
-    report.simulated_units = std::ceil(
-        static_cast<double>(report.executions) / pool_.size());
-    report.simulated_speedup =
-        report.simulated_units > 0.0
-            ? static_cast<double>(n_) / report.simulated_units
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-
-    if (registry != nullptr) {
-      // The stall analog for Block-STM is the serial commit walk.
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(commit_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (const std::uint32_t a : attempts_) {
-        attempts_hist.observe(static_cast<double>(a));
-      }
+    // The stall analog for Block-STM is the serial commit walk.
+    frame.finish(std::ceil(static_cast<double>(report.executions) /
+                           pool_.size()),
+                 commit_seconds);
+    if (obs::Registry* const registry = frame.registry()) {
       registry->counter(obs::names::kMetricExecBlockStmValidations)
           // ordering: relaxed — quiescent read-back, as above.
           .add(validations_.load(std::memory_order_relaxed));
@@ -531,8 +505,7 @@ class BlockStmExecutor final : public BlockExecutor {
           // ordering: relaxed — quiescent read-back, as above.
           .add(aborts_.load(std::memory_order_relaxed));
     }
-    record_block_metrics(registry, report);
-    return report;
+    return std::move(report);
   }
 
  private:

@@ -61,7 +61,7 @@ struct ExecutionReport {
   /// Discarded-work tally under the uniform abort taxonomy
   /// (obs/contention.h): every engine counts why attempts were thrown
   /// away, whether or not a contention sink is installed. Folded into the
-  /// exec.abort.* registry counters by record_block_metrics.
+  /// exec.abort.* registry counters by BlockFrame::finish.
   obs::AbortCounts abort_reasons{};
 };
 

@@ -8,13 +8,12 @@
 #include "core/components.h"
 #include "core/scheduling.h"
 #include "core/tdg.h"
+#include "exec/block_frame.h"
 #include "exec/executor.h"
 #include "exec/predict.h"
-#include "exec/sched_trace.h"
 #include "exec/scratch.h"
 #include "exec/thread_pool.h"
 #include "obs/names.h"
-#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace txconc::exec {
@@ -123,27 +122,16 @@ class GroupExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc(kLabel);
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
+    BlockFrame frame(kLabel, &pool_, pool_.size() + 1, transactions, config);
+    ExecutionReport& report = frame.report();
+    obs::Tracer* const tracer = frame.tracer();
 
     // Partition transactions into predicted components (block order is
     // preserved inside each component).
     PredictedGroups groups;
     std::vector<std::vector<std::size_t>> jobs;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
       groups = predict_groups(transactions, state, tracer);
       std::vector<std::vector<std::size_t>> members(groups.num_components());
       for (std::size_t i = 0; i < transactions.size(); ++i) {
@@ -158,9 +146,8 @@ class GroupExecutor final : public BlockExecutor {
 
     core::Schedule schedule;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(jobs.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanSchedule, static_cast<std::int64_t>(jobs.size()));
       std::vector<double> costs;
       costs.reserve(jobs.size());
       for (const auto& job : jobs) {
@@ -179,9 +166,9 @@ class GroupExecutor final : public BlockExecutor {
       scratch_.resize(schedule.assignment.size());
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(transactions.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanExecute,
+          static_cast<std::int64_t>(transactions.size()));
       pool_.parallel_for(schedule.assignment.size(), [&](std::size_t core_id) {
         if (schedule.assignment[core_id].empty()) return;
         WorkerScratch& ws = scratch_[core_id];
@@ -201,8 +188,7 @@ class GroupExecutor final : public BlockExecutor {
     }
     double merge_seconds = 0.0;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       // Merged values are final; skip the undo journal.
       const account::JournalPause pause(state);
       const auto merge_start = std::chrono::steady_clock::now();
@@ -219,28 +205,15 @@ class GroupExecutor final : public BlockExecutor {
     for (const auto& job : jobs) lcc = std::max(lcc, job.size());
     report.sequential_txs = lcc;
     report.executions = transactions.size();
-    report.simulated_units = schedule.makespan;
-    report.simulated_speedup =
-        schedule.makespan > 0.0
-            ? static_cast<double>(transactions.size()) / schedule.makespan
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    if (registry != nullptr) {
-      // Serial dwell for group concurrency: the overlay merge; cores
-      // idling behind the longest component are visible separately via
-      // exec.largest_component_txs.
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(merge_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        attempts_hist.observe(1.0);  // groups never re-execute
-      }
+    // Serial dwell for group concurrency: the overlay merge; cores
+    // idling behind the longest component are visible separately via
+    // exec.largest_component_txs.
+    frame.finish(schedule.makespan, merge_seconds);
+    if (obs::Registry* const registry = frame.registry()) {
       registry->histogram(obs::names::kMetricExecLargestComponentTxs)
           .observe(static_cast<double>(lcc));
     }
-    record_block_metrics(registry, report);
-    return report;
+    return std::move(report);
   }
 
   std::string name() const override { return kLabel; }

@@ -3,10 +3,14 @@
 // An executor owns one ThreadPool for its whole lifetime and runs one
 // block at a time, so every per-attempt object — the copy-on-write
 // overlay, the access tracker, the conflict tables — can live across
-// blocks and be epoch-reset instead of reallocated. Workers index the
-// scratch by the slot id of ThreadPool::parallel_for_slots (slot 0 is
-// the caller), which guarantees two concurrently running grains never
-// share an entry.
+// blocks and be epoch-reset instead of reallocated. The per-block
+// measurement (spans, report header, wall clock, metrics) is not
+// scratch: it lives on the stack in exec/block_frame.h and allocates
+// nothing. Workers index the scratch by the slot id of
+// ThreadPool::parallel_for_slots (slot 0 is the caller), which
+// guarantees two concurrently running grains never share an entry; the
+// group engine indexes it by core id instead. The sequential bin runs on
+// the caller after the pool has joined, so it borrows slot 0's tracker.
 #pragma once
 
 #include <vector>

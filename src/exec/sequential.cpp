@@ -1,7 +1,6 @@
+#include "exec/block_frame.h"
 #include "exec/executor.h"
-#include "exec/sched_trace.h"
 #include "obs/names.h"
-#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace txconc::exec {
@@ -14,21 +13,11 @@ class SequentialExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    const obs::ThreadProcessScope proc("sequential");
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, 1);
-    SchedTrace trace(static_cast<const ThreadPool*>(nullptr));
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
+    BlockFrame frame("sequential", nullptr, 1, transactions, config);
+    ExecutionReport& report = frame.report();
+    obs::Tracer* const tracer = frame.tracer();
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanExecute);
       account::for_each_prefetched(state, transactions, [&](std::size_t i) {
         const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
                             obs::names::kCatExec,
@@ -41,18 +30,14 @@ class SequentialExecutor final : public BlockExecutor {
       });
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       state.flush_journal();
     }
 
     report.sequential_txs = transactions.size();
     report.executions = transactions.size();
-    report.simulated_units = static_cast<double>(transactions.size());
-    report.simulated_speedup = 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    record_block_metrics(obs::metrics(config.obs), report);
-    return report;
+    frame.finish(static_cast<double>(transactions.size()), 0.0);
+    return std::move(report);
   }
 
   std::string name() const override { return "sequential"; }

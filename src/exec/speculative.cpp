@@ -11,9 +11,9 @@
 #include "account/state.h"
 #include "common/error.h"
 #include "core/components.h"
+#include "exec/block_frame.h"
 #include "exec/executor.h"
 #include "exec/predict.h"
-#include "exec/sched_trace.h"
 #include "exec/scratch.h"
 #include "exec/thread_pool.h"
 #include "obs/names.h"
@@ -36,6 +36,43 @@ struct SlotAgg {
   std::uint32_t last_tx = kNoTx;
 };
 
+/// What one sequential bin ran and stalled.
+struct BinResult {
+  std::size_t txs = 0;
+  double stall_seconds = 0.0;
+};
+
+/// The sequential bin of the speculative and oracle engines: re-run every
+/// transaction flagged in `binned`, in block order, on the committed
+/// state, then flush the journal. The stall is the apply work only,
+/// summed per transaction and timed only when a registry is installed,
+/// so span construction and per-tx tracer overhead stay out of the
+/// exec.conflict_stall_us histogram.
+BinResult run_sequential_bin(BlockFrame& frame, account::StateDb& state,
+                             std::span<const account::AccountTx> txs,
+                             const account::RuntimeConfig& config,
+                             const std::vector<unsigned char>& binned,
+                             account::AccessTracker& tracker) {
+  BinResult bin;
+  const obs::CausalSpan span = frame.phase(obs::names::kSpanSeqBin);
+  obs::Tracer* const tracer = frame.tracer();
+  const bool timed = frame.registry() != nullptr;
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (!binned[i]) continue;
+    ++bin.txs;
+    const TXCONC_SPAN_T(tracer, obs::names::kSpanTx, obs::names::kCatExec,
+                        static_cast<std::int64_t>(i));
+    const auto apply_start =
+        timed ? std::chrono::steady_clock::now()
+              : std::chrono::steady_clock::time_point{};
+    account::apply_transaction_into(state, txs[i], config,
+                                    frame.report().receipts[i], tracker);
+    if (timed) bin.stall_seconds += seconds_since(apply_start);
+  }
+  state.flush_journal();
+  return bin;
+}
+
 class SpeculativeExecutor final : public BlockExecutor {
  public:
   SpeculativeExecutor(unsigned num_threads, AbortPolicy policy)
@@ -48,19 +85,9 @@ class SpeculativeExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc(label_);
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
+    BlockFrame frame(label_, &pool_, pool_.size() + 1, transactions, config);
+    ExecutionReport& report = frame.report();
+    obs::Tracer* const tracer = frame.tracer();
 
     ensure_worker_scratch(scratch_, pool_.size());
     writes_.resize(std::max(writes_.size(), transactions.size()));
@@ -72,19 +99,17 @@ class SpeculativeExecutor final : public BlockExecutor {
     // stays purely speculative as in [17].
     PredictedGroups groups;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
       groups = predict_groups(transactions, state, tracer);
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(transactions.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanExecute,
+          static_cast<std::int64_t>(transactions.size()));
       speculate(state, transactions, config, report, tracer);
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanSchedule);
       detect_conflicts(transactions, report, groups,
                        obs::contention(config.obs), tracer);
     }
@@ -94,66 +119,27 @@ class SpeculativeExecutor final : public BlockExecutor {
     // values are final — pause the undo journal instead of filling it
     // only to flush it.
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       const account::JournalPause pause(state);
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         if (!conflicted_[i]) writes_[i].apply_to(state);
       }
     }
 
-    // Phase 2 (sequential bin, in block order). The conflict stall is the
-    // apply work only — summed per transaction so span construction and
-    // per-tx tracer overhead stay out of the histogram.
-    double stall_seconds = 0.0;
-    std::size_t bin = 0;
-    {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSeqBin,
-                                 obs::names::kCatExec, block_span.context());
-      account::AccessTracker& bin_tracker = scratch_[0].tracker;
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        if (!conflicted_[i]) continue;
-        ++bin;
-        const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
-                            obs::names::kCatExec,
-                            static_cast<std::int64_t>(i));
-        if (registry != nullptr) {
-          const auto apply_start = std::chrono::steady_clock::now();
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-          stall_seconds += seconds_since(apply_start);
-        } else {
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-        }
-      }
-      state.flush_journal();
-    }
-    if (registry != nullptr) {
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(stall_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        attempts_hist.observe(conflicted_[i] ? 2.0 : 1.0);
-      }
-    }
+    // Phase 2: the conflicted transactions re-run in the bin.
+    const BinResult bin = run_sequential_bin(frame, state, transactions,
+                                             config, conflicted_,
+                                             scratch_[0].tracker);
 
-    report.sequential_txs = bin;
-    report.executions = transactions.size() + bin;
+    report.sequential_txs = bin.txs;
+    report.executions = transactions.size() + bin.txs;
     const unsigned cores = pool_.size();
     const std::size_t phase1 =
         transactions.empty()
             ? 0
             : (transactions.size() + cores - 1) / cores;
-    report.simulated_units = static_cast<double>(phase1 + bin);
-    report.simulated_speedup =
-        report.simulated_units > 0.0
-            ? static_cast<double>(transactions.size()) / report.simulated_units
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    record_block_metrics(registry, report);
-    return report;
+    frame.finish(static_cast<double>(phase1 + bin.txs), bin.stall_seconds);
+    return std::move(report);
   }
 
   std::string name() const override { return label_; }
@@ -411,19 +397,10 @@ class OracleExecutor final : public BlockExecutor {
       account::StateDb& state,
       std::span<const account::AccountTx> transactions,
       const account::RuntimeConfig& config) override {
-    obs::Tracer* const tracer = obs::tracer(config.obs);
-    obs::Registry* const registry = obs::metrics(config.obs);
-    const obs::ThreadProcessScope proc("oracle-speculative");
-    const obs::CausalSpan block_span(
-        tracer, obs::names::kSpanExecuteBlock, obs::names::kCatExec,
-        config.trace, static_cast<std::int64_t>(transactions.size()));
-    emit_thread_budget(tracer, pool_.size() + 1);
-    SchedTrace trace(&pool_);
-
-    ExecutionReport report;
-    report.executor = name();
-    report.num_txs = transactions.size();
-    report.receipts.resize(transactions.size());
+    BlockFrame frame("oracle-speculative", &pool_, pool_.size() + 1,
+                     transactions, config);
+    ExecutionReport& report = frame.report();
+    obs::Tracer* const tracer = frame.tracer();
 
     ensure_worker_scratch(scratch_, pool_.size());
     conflicted_.assign(transactions.size(), 0);
@@ -434,15 +411,13 @@ class OracleExecutor final : public BlockExecutor {
     // exactly once.
     PredictedGroups groups;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanPredict,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanPredict);
       groups = predict_groups(transactions, state, tracer);
     }
     {
       // The oracle's schedule is the predicted component partition itself:
       // singleton components run concurrently, the rest go to the bin.
-      const obs::CausalSpan span(tracer, obs::names::kSpanSchedule,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanSchedule);
       for (std::size_t i = 0; i < transactions.size(); ++i) {
         conflicted_[i] =
             groups.component_sizes[groups.component_of_tx[i]] >= 2 ? 1 : 0;
@@ -457,9 +432,9 @@ class OracleExecutor final : public BlockExecutor {
     account::RuntimeConfig tracked = config;
     tracked.track_accesses = true;
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanExecute,
-                                 obs::names::kCatExec, block_span.context(),
-                                 static_cast<std::int64_t>(transactions.size()));
+      const obs::CausalSpan span = frame.phase(
+          obs::names::kSpanExecute,
+          static_cast<std::int64_t>(transactions.size()));
       for (WorkerScratch& ws : scratch_) ws.overlay.reset(state);
       const ThreadPool::SlotFn body = [&](unsigned slot, std::size_t i) {
         if (conflicted_[i]) return;
@@ -477,51 +452,19 @@ class OracleExecutor final : public BlockExecutor {
       if (!conflicted_[i]) ++concurrent;
     }
     {
-      const obs::CausalSpan span(tracer, obs::names::kSpanCommit,
-                                 obs::names::kCatExec, block_span.context());
+      const obs::CausalSpan span = frame.phase(obs::names::kSpanCommit);
       const account::JournalPause pause(state);
       for (WorkerScratch& ws : scratch_) {
         if (ws.overlay.dirty()) ws.overlay.apply_to(state);
       }
     }
 
-    // Sequential phase, in block order. Stall = apply work only (see the
-    // blind executor's bin).
-    double stall_seconds = 0.0;
-    std::size_t bin = 0;
-    {
-      const obs::CausalSpan span(tracer, obs::names::kSpanSeqBin,
-                                 obs::names::kCatExec, block_span.context());
-      account::AccessTracker& bin_tracker = scratch_[0].tracker;
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        if (!conflicted_[i]) continue;
-        ++bin;
-        const TXCONC_SPAN_T(tracer, obs::names::kSpanTx,
-                            obs::names::kCatExec,
-                            static_cast<std::int64_t>(i));
-        if (registry != nullptr) {
-          const auto apply_start = std::chrono::steady_clock::now();
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-          stall_seconds += seconds_since(apply_start);
-        } else {
-          account::apply_transaction_into(state, transactions[i], config,
-                                          report.receipts[i], bin_tracker);
-        }
-      }
-      state.flush_journal();
-    }
-    if (registry != nullptr) {
-      registry->histogram(obs::names::kMetricExecConflictStallUs)
-          .observe(stall_seconds * 1e6);
-      obs::Histogram& attempts_hist =
-          registry->histogram(obs::names::kMetricExecAttemptsPerTx);
-      for (std::size_t i = 0; i < transactions.size(); ++i) {
-        attempts_hist.observe(1.0);  // the oracle never re-executes
-      }
-    }
+    // Sequential phase: the predicted-conflicted transactions, run once.
+    const BinResult bin = run_sequential_bin(frame, state, transactions,
+                                             config, conflicted_,
+                                             scratch_[0].tracker);
 
-    report.sequential_txs = bin;
+    report.sequential_txs = bin.txs;
     report.executions = transactions.size();
     const unsigned cores = pool_.size();
     const std::size_t phase1 =
@@ -529,15 +472,9 @@ class OracleExecutor final : public BlockExecutor {
     // K: one unit per transaction scanned during prediction, amortized to
     // a small constant per block in practice; charge 1 unit.
     const double k_preprocess = transactions.empty() ? 0.0 : 1.0;
-    report.simulated_units =
-        k_preprocess + static_cast<double>(phase1 + bin);
-    report.simulated_speedup =
-        report.simulated_units > 0.0
-            ? static_cast<double>(transactions.size()) / report.simulated_units
-            : 1.0;
-    report.wall_seconds = trace.finish(report.sched);
-    record_block_metrics(registry, report);
-    return report;
+    frame.finish(k_preprocess + static_cast<double>(phase1 + bin.txs),
+                 bin.stall_seconds);
+    return std::move(report);
   }
 
   std::string name() const override { return "oracle-speculative"; }

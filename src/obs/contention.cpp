@@ -10,8 +10,6 @@
 #include "account/state.h"
 #include "common/error.h"
 #include "core/components.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
 
 namespace txconc::obs {
 
@@ -553,29 +551,6 @@ void write_json(std::ostream& out, const BlockContention& block,
   out << ",\"abort_keys\":";
   write_keys_json(out, block.abort_keys, top_k);
   out << '}';
-}
-
-void record_contention_metrics(Registry* registry,
-                               const BlockContention& block) {
-  if (registry == nullptr) return;
-  registry->gauge(names::kMetricContentionMeasuredC).set(block.measured_c);
-  registry->gauge(names::kMetricContentionMeasuredL).set(block.measured_l);
-  if (block.has_prediction) {
-    registry->gauge(names::kMetricContentionPredPrecision)
-        .set(block.precision);
-    registry->gauge(names::kMetricContentionPredRecall).set(block.recall);
-    registry->gauge(names::kMetricContentionPredOverApprox)
-        .set(block.over_approx);
-  }
-  Histogram& components =
-      registry->histogram(names::kMetricContentionComponentTxs);
-  for (const ComponentBucket& b : block.component_histogram) {
-    for (std::size_t i = 0; i < b.count; ++i) {
-      components.observe(static_cast<double>(b.size));
-    }
-  }
-  registry->counter(names::kMetricContentionTouches)
-      .add(block.total_touches);
 }
 
 }  // namespace txconc::obs

@@ -36,8 +36,6 @@
 
 namespace txconc::obs {
 
-class Registry;
-
 // ------------------------------------------------------------ taxonomy
 
 /// Why an execution attempt's work was discarded, uniform across engines.
@@ -362,10 +360,5 @@ void write_text(std::ostream& out, const BlockContention& block,
 /// artifact embeds the same shape per cell).
 void write_json(std::ostream& out, const BlockContention& block,
                 std::size_t top_k = 10);
-
-/// Fold one block's contention summary into the metrics registry
-/// (exec.contention.* gauges/histograms; null-safe).
-void record_contention_metrics(Registry* registry,
-                               const BlockContention& block);
 
 }  // namespace txconc::obs

@@ -16,17 +16,7 @@
 namespace txconc::obs {
 namespace {
 
-using internal::JsonReader;
-
-struct PEvent {
-  std::string name;
-  char phase = '?';
-  int pid = 0;
-  int tid = 0;
-  double ts = 0.0;
-  std::int64_t arg = -1;
-  std::string meta_name;  ///< args.name of 'M' metadata records
-};
+using internal::ChromeEvent;
 
 /// One reconstructed B/E span. parent/children describe the per-thread
 /// nesting tree; spans never closed in the trace are repaired after the
@@ -48,122 +38,54 @@ struct ParsedTrace {
   bool ok = false;
   std::string error;
   std::vector<Span> spans;
-  std::vector<PEvent> instants;
+  std::vector<ChromeEvent> instants;
   std::map<int, std::string> process_names;
   std::map<std::pair<int, int>, std::string> thread_names;
 };
 
 ParsedTrace parse_trace(const std::string& json) {
   ParsedTrace out;
-  JsonReader reader(json);
-  const auto fail = [&out](std::string why) {
-    out.ok = false;
-    out.error = std::move(why);
+  internal::ChromeTrace read = internal::read_chrome_trace(json);
+  if (!read.ok) {
+    out.error = std::move(read.error);
     return out;
-  };
-
-  if (!reader.consume('{')) return fail("trace is not a JSON object");
+  }
+  out.process_names = std::move(read.process_names);
+  out.thread_names = std::move(read.thread_names);
   // Per-(pid,tid) stack of open span indices, for parent links.
   std::map<std::pair<int, int>, std::vector<int>> open;
-  bool saw_array = false;
-  if (!reader.consume('}')) {
-    do {
-      const std::string key = reader.parse_string();
-      if (!reader.consume(':')) return fail("expected ':' after key");
-      if (key != "traceEvents") {
-        reader.skip_value();
-        if (reader.failed()) return fail(reader.error());
-        continue;
+  for (ChromeEvent& event : read.events) {
+    if (event.phase == 'B') {
+      auto& stack = open[{event.pid, event.tid}];
+      Span span;
+      span.name = std::move(event.name);
+      span.pid = event.pid;
+      span.tid = event.tid;
+      span.b = event.ts;
+      span.e = event.ts;  // stays zero-length if never closed
+      span.arg = event.arg;
+      span.parent = stack.empty() ? -1 : stack.back();
+      const int index = static_cast<int>(out.spans.size());
+      if (span.parent >= 0) {
+        out.spans[static_cast<std::size_t>(span.parent)]
+            .children.push_back(index);
       }
-      saw_array = true;
-      if (!reader.consume('[')) return fail("traceEvents is not an array");
-      if (reader.consume(']')) break;
-      do {
-        PEvent event;
-        if (!reader.consume('{')) return fail("event is not an object");
-        if (!reader.consume('}')) {
-          do {
-            const std::string field = reader.parse_string();
-            if (!reader.consume(':')) return fail("expected ':' in event");
-            if (field == "name") {
-              event.name = reader.parse_string();
-            } else if (field == "ph") {
-              const std::string ph = reader.parse_string();
-              event.phase = ph.empty() ? '?' : ph[0];
-            } else if (field == "pid") {
-              event.pid = static_cast<int>(reader.parse_number());
-            } else if (field == "tid") {
-              event.tid = static_cast<int>(reader.parse_number());
-            } else if (field == "ts") {
-              event.ts = reader.parse_number();
-            } else if (field == "args") {
-              if (!reader.consume('{')) return fail("args not an object");
-              if (!reader.consume('}')) {
-                do {
-                  const std::string arg_key = reader.parse_string();
-                  if (!reader.consume(':')) return fail("bad args");
-                  if (arg_key == "arg") {
-                    event.arg =
-                        static_cast<std::int64_t>(reader.parse_number());
-                  } else if (arg_key == "name") {
-                    event.meta_name = reader.parse_string();
-                  } else {
-                    reader.skip_value();
-                  }
-                } while (reader.consume(','));
-                if (!reader.consume('}')) return fail("unclosed args");
-              }
-            } else {
-              reader.skip_value();
-            }
-            if (reader.failed()) return fail(reader.error());
-          } while (reader.consume(','));
-          if (!reader.consume('}')) return fail("unclosed event object");
-        }
-        if (event.phase == 'M') {
-          if (event.name == "process_name") {
-            out.process_names[event.pid] = event.meta_name;
-          } else if (event.name == "thread_name") {
-            out.thread_names[{event.pid, event.tid}] = event.meta_name;
-          }
-        } else if (event.phase == 'B') {
-          auto& stack = open[{event.pid, event.tid}];
-          Span span;
-          span.name = event.name;
-          span.pid = event.pid;
-          span.tid = event.tid;
-          span.b = event.ts;
-          span.e = event.ts;  // stays zero-length if never closed
-          span.arg = event.arg;
-          span.parent = stack.empty() ? -1 : stack.back();
-          const int index = static_cast<int>(out.spans.size());
-          if (span.parent >= 0) {
-            out.spans[static_cast<std::size_t>(span.parent)]
-                .children.push_back(index);
-          }
-          out.spans.push_back(std::move(span));
-          stack.push_back(index);
-        } else if (event.phase == 'E') {
-          auto& stack = open[{event.pid, event.tid}];
-          if (stack.empty()) {
-            return fail("unbalanced 'E' for '" + event.name +
-                        "': validate the trace first");
-          }
-          out.spans[static_cast<std::size_t>(stack.back())].e = event.ts;
-          stack.pop_back();
-        } else if (event.phase == 'i') {
-          out.instants.push_back(std::move(event));
-        }
-        // 's'/'f' flow events carry no duration; the profiler skips them.
-      } while (reader.consume(','));
-      if (!reader.consume(']')) return fail("unterminated traceEvents");
-    } while (reader.consume(','));
-    if (!reader.consume('}') && !reader.failed()) {
-      // '}' may already be consumed when traceEvents was the last key.
+      out.spans.push_back(std::move(span));
+      stack.push_back(index);
+    } else if (event.phase == 'E') {
+      auto& stack = open[{event.pid, event.tid}];
+      if (stack.empty()) {
+        out.error =
+            "unbalanced 'E' for '" + event.name + "': validate the trace first";
+        return out;
+      }
+      out.spans[static_cast<std::size_t>(stack.back())].e = event.ts;
+      stack.pop_back();
+    } else if (event.phase == 'i') {
+      out.instants.push_back(std::move(event));
     }
+    // 's'/'f' flow events carry no duration; the profiler skips them.
   }
-  if (reader.failed()) return fail(reader.error());
-  if (!saw_array) return fail("no traceEvents array");
 
   // Repair spans whose 'E' never made it into the trace: a trace written
   // while a span is still open misses its end. Left zero-length, such a
@@ -265,7 +187,7 @@ std::string profile_block(const ParsedTrace& trace, int eb_index,
 
   // Thread budget: the `threads` instant the engine emits inside its
   // execute_block (arg = pool workers + caller).
-  for (const PEvent& ev : trace.instants) {
+  for (const ChromeEvent& ev : trace.instants) {
     if (ev.pid == eb.pid && ev.name == names::kEvThreads && ev.ts >= w0 &&
         ev.ts <= w1) {
       out->threads = ev.arg > 0 ? static_cast<unsigned>(ev.arg) : 0;
@@ -418,7 +340,7 @@ std::string profile_block(const ParsedTrace& trace, int eb_index,
   }
 
   // Block-STM suspended-reader instants, grouped by blocking tx.
-  for (const PEvent& ev : trace.instants) {
+  for (const ChromeEvent& ev : trace.instants) {
     if (ev.pid == eb.pid && ev.name == names::kEvSuspend && ev.ts >= w0 &&
         ev.ts <= w1) {
       ++out->suspend_count;

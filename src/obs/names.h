@@ -93,22 +93,6 @@ inline constexpr const char* kMetricExecBlockStmAborts =
 /// Per-reason abort counters: kMetricExecAbortPrefix +
 /// obs::abort_reason_name(reason), e.g. "exec.abort.spec_conflict".
 inline constexpr const char* kMetricExecAbortPrefix = "exec.abort.";
-// Contention explainer (obs/contention.h, DESIGN.md §17): measured
-// conflict rates, prediction quality and hot-key telemetry per block.
-inline constexpr const char* kMetricContentionMeasuredC =
-    "exec.contention.measured_c";
-inline constexpr const char* kMetricContentionMeasuredL =
-    "exec.contention.measured_l";
-inline constexpr const char* kMetricContentionPredPrecision =
-    "exec.contention.pred_precision";
-inline constexpr const char* kMetricContentionPredRecall =
-    "exec.contention.pred_recall";
-inline constexpr const char* kMetricContentionPredOverApprox =
-    "exec.contention.pred_over_approx";
-inline constexpr const char* kMetricContentionComponentTxs =
-    "exec.contention.component_txs";
-inline constexpr const char* kMetricContentionTouches =
-    "exec.contention.touches";
 inline constexpr const char* kMetricPoolDequeueGapUs = "pool.dequeue_gap_us";
 inline constexpr const char* kMetricNodeBlocksProduced =
     "node.blocks_produced";

@@ -462,117 +462,18 @@ TraceContext CausalSpan::fork() const {
 
 // ---------------------------------------------------------------- validator
 
-namespace {
-
-using internal::JsonReader;
-
-struct ParsedEvent {
-  std::string name;
-  char phase = '\0';
-  int pid = 0;
-  int tid = 0;
-  double ts = 0.0;
-  bool has_ts = false;
-  // Causal identity from args ('B' events) / top-level id ('s'/'f').
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_span = 0;
-  std::uint64_t flow_id = 0;
-};
-
-}  // namespace
-
 TraceValidation validate_chrome_trace(const std::string& json) {
   TraceValidation result;
-  JsonReader reader(json);
-
   const auto fail = [&](std::string why) {
     result.ok = false;
     result.error = std::move(why);
     return result;
   };
 
-  if (!reader.consume('{')) return fail("trace is not a JSON object");
-  std::vector<ParsedEvent> events;
-  std::map<int, std::string> process_names;
-  bool saw_array = false;
-  if (!reader.consume('}')) {
-    do {
-      const std::string key = reader.parse_string();
-      if (!reader.consume(':')) return fail("expected ':' after key");
-      if (key != "traceEvents") {
-        reader.skip_value();
-        continue;
-      }
-      saw_array = true;
-      if (!reader.consume('[')) return fail("traceEvents is not an array");
-      if (reader.consume(']')) break;
-      do {
-        if (!reader.consume('{')) return fail("event is not an object");
-        ParsedEvent event;
-        std::string meta_name;
-        if (!reader.consume('}')) {
-          do {
-            const std::string field = reader.parse_string();
-            if (!reader.consume(':')) return fail("expected ':' in event");
-            if (field == "name") {
-              event.name = reader.parse_string();
-            } else if (field == "ph") {
-              const std::string ph = reader.parse_string();
-              event.phase = ph.empty() ? '\0' : ph[0];
-            } else if (field == "pid") {
-              event.pid = static_cast<int>(reader.parse_number());
-            } else if (field == "tid") {
-              event.tid = static_cast<int>(reader.parse_number());
-            } else if (field == "ts") {
-              event.ts = reader.parse_number();
-              event.has_ts = true;
-            } else if (field == "id") {
-              event.flow_id =
-                  static_cast<std::uint64_t>(reader.parse_number());
-            } else if (field == "args") {
-              // Metadata name plus the causal identity of 'B' events.
-              if (!reader.consume('{')) return fail("args not an object");
-              if (!reader.consume('}')) {
-                do {
-                  const std::string arg_key = reader.parse_string();
-                  if (!reader.consume(':')) return fail("bad args");
-                  if (arg_key == "name") {
-                    meta_name = reader.parse_string();
-                  } else if (arg_key == "trace_id") {
-                    event.trace_id =
-                        static_cast<std::uint64_t>(reader.parse_number());
-                  } else if (arg_key == "span_id") {
-                    event.span_id =
-                        static_cast<std::uint64_t>(reader.parse_number());
-                  } else if (arg_key == "parent_span") {
-                    event.parent_span =
-                        static_cast<std::uint64_t>(reader.parse_number());
-                  } else {
-                    reader.skip_value();
-                  }
-                } while (reader.consume(','));
-                if (!reader.consume('}')) return fail("unclosed args");
-              }
-            } else {
-              reader.skip_value();
-            }
-            if (reader.failed()) return fail(reader.error());
-          } while (reader.consume(','));
-          if (!reader.consume('}')) return fail("unclosed event object");
-        }
-        if (event.phase == 'M' && event.name == "process_name") {
-          process_names[event.pid] = meta_name;
-        } else if (event.phase == 'B' || event.phase == 'E' ||
-                   event.phase == 'i' || event.phase == 's' ||
-                   event.phase == 'f') {
-          events.push_back(std::move(event));
-        }
-      } while (reader.consume(','));
-      if (!reader.consume(']')) return fail("unclosed traceEvents array");
-    } while (reader.consume(','));
-  }
-  if (!saw_array) return fail("no traceEvents array");
+  const internal::ChromeTrace parsed = internal::read_chrome_trace(json);
+  if (!parsed.ok) return fail(parsed.error);
+  const std::vector<internal::ChromeEvent>& events = parsed.events;
+  const std::map<int, std::string>& process_names = parsed.process_names;
 
   // Balanced B/E per (pid, tid), with monotone timestamps. The open stack
   // keeps each begin's timestamp so an end can be checked for a negative
@@ -588,7 +489,7 @@ TraceValidation validate_chrome_trace(const std::string& json) {
   // timestamps stay monotone even when a ThreadProcessScope moves the
   // thread between pids mid-trace, so the check also spans pids.
   std::map<int, double> last_ts_by_tid;
-  for (const ParsedEvent& event : events) {
+  for (const internal::ChromeEvent& event : events) {
     const std::pair<int, int> key{event.pid, event.tid};
     if (!event.has_ts) return fail("event without ts: " + event.name);
     if (event.phase == 'E') {
@@ -652,7 +553,7 @@ TraceValidation validate_chrome_trace(const std::string& json) {
   // acyclic. A trace passing these checks has every causal span reachable
   // from a root of its own trace.
   std::unordered_map<std::uint64_t, std::size_t> span_index;
-  for (const ParsedEvent& event : events) {
+  for (const internal::ChromeEvent& event : events) {
     if (event.phase != 'B' || event.trace_id == 0) continue;
     if (event.span_id == 0) {
       return fail("causal span '" + event.name + "' has span_id 0");
@@ -706,18 +607,18 @@ TraceValidation validate_chrome_trace(const std::string& json) {
 
   // Flow events: every bind ('f') must name a started flow ('s').
   std::unordered_set<std::uint64_t> flow_starts;
-  for (const ParsedEvent& event : events) {
+  for (const internal::ChromeEvent& event : events) {
     if (event.phase != 's' && event.phase != 'f') continue;
-    if (event.flow_id == 0) {
+    if (event.id == 0) {
       return fail(std::string("flow event ('") + event.phase +
                   "') without an id");
     }
-    if (event.phase == 's') flow_starts.insert(event.flow_id);
+    if (event.phase == 's') flow_starts.insert(event.id);
   }
-  for (const ParsedEvent& event : events) {
+  for (const internal::ChromeEvent& event : events) {
     if (event.phase != 'f') continue;
-    if (flow_starts.count(event.flow_id) == 0) {
-      return fail("flow bind " + std::to_string(event.flow_id) +
+    if (flow_starts.count(event.id) == 0) {
+      return fail("flow bind " + std::to_string(event.id) +
                   " has no matching flow start");
     }
     ++result.flow_binds;

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -20,7 +22,9 @@
 #include "exec/replay.h"
 #include "exec/schedule_sim.h"
 #include "exec/thread_pool.h"
+#include "obs/critpath.h"
 #include "obs/metrics.h"
+#include "obs/names.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 #include "workload/account_workload.h"
@@ -594,6 +598,63 @@ TEST_F(ExecutorRig, ConflictStallIsPositiveButWithinWall) {
     ASSERT_EQ(stall.count(), 1u) << spec.name;
     EXPECT_GT(stall.sum(), 0.0) << spec.name;
     EXPECT_LE(stall.sum(), report.wall_seconds * 1e6) << spec.name;
+  }
+}
+
+// The block contract every engine's execute_block keeps, pinned over the
+// whole registry with a tracer and a registry installed: one
+// execute_block span holding one `threads` instant (arg = participants),
+// the engine's phase spans under its own process, and the exec.* fold.
+// Parallel engines also observe one serial-section stall sample and one
+// attempts sample per transaction; sequential observes neither.
+TEST_F(ExecutorRig, EveryEngineKeepsTheBlockContract) {
+  for (const ExecutorSpec& spec : executor_registry()) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(spec.name + " threads=" + std::to_string(threads));
+      obs::Tracer tracer;
+      tracer.enable();
+      obs::Registry registry;
+      const obs::Scope scope{&tracer, &registry};
+      config_.obs = &scope;
+      const auto executor = spec.make(threads);
+      const auto [state, report] = run(*executor);
+      tracer.disable();
+
+      std::ostringstream json;
+      tracer.write_chrome_trace(json);
+      const obs::TraceValidation trace = obs::validate_chrome_trace(json.str());
+      ASSERT_TRUE(trace.ok) << trace.error;
+      EXPECT_EQ(tracer.event_count(obs::names::kSpanExecuteBlock), 2u);
+      EXPECT_EQ(tracer.event_count(obs::names::kEvThreads), 1u);
+      const obs::ProfileResult profile = obs::profile_chrome_trace(json.str());
+      ASSERT_TRUE(profile.ok) << profile.error;
+      ASSERT_EQ(profile.blocks.size(), 1u);
+      EXPECT_EQ(profile.blocks[0].process, spec.name);
+      EXPECT_EQ(profile.blocks[0].threads, spec.parallel ? threads + 1 : 1u);
+
+      std::vector<const char*> phases = {obs::names::kSpanExecute,
+                                         obs::names::kSpanCommit};
+      if (spec.parallel) {
+        phases.push_back(obs::names::kSpanPredict);
+        phases.push_back(obs::names::kSpanSchedule);
+      }
+      const std::set<std::string>& spans = trace.spans_by_process.at(spec.name);
+      for (const char* phase : phases) {
+        EXPECT_EQ(spans.count(phase), 1u) << phase;
+      }
+
+      const std::size_t n = block_.size();
+      EXPECT_EQ(registry.counter(obs::names::kMetricExecBlocks).value(), 1u);
+      EXPECT_EQ(registry.counter(obs::names::kMetricExecTxs).value(), n);
+      EXPECT_EQ(registry.counter(obs::names::kMetricExecExecutions).value(),
+                report.executions);
+      EXPECT_EQ(
+          registry.histogram(obs::names::kMetricExecAttemptsPerTx).count(),
+          spec.parallel ? n : 0u);
+      EXPECT_EQ(
+          registry.histogram(obs::names::kMetricExecConflictStallUs).count(),
+          spec.parallel ? 1u : 0u);
+    }
   }
 }
 
