@@ -37,7 +37,7 @@ void WriteLog::apply_to(State& target) const {
   for (const BalanceOp& op : nonces_) target.set_nonce(op.addr, op.value);
   for (const auto& [addr, code] : codes_) target.set_code(addr, *code);
   for (const StorageOp& op : storage_) {
-    target.set_storage(op.slot.addr, op.slot.key, op.value);
+    target.set_storage(op.slot.address, op.slot.key, op.value);
   }
 }
 
@@ -263,13 +263,13 @@ void OverlayState::set_code(const Address& addr, ContractCode new_code) {
 
 std::uint64_t OverlayState::storage(const Address& addr,
                                     StorageKey key) const {
-  const std::uint64_t* local = storage_.find(SlotId{addr, key});
+  const std::uint64_t* local = storage_.find(SlotAccess{addr, key});
   return local != nullptr ? *local : base_->storage(addr, key);
 }
 
 void OverlayState::set_storage(const Address& addr, StorageKey key,
                                std::uint64_t value) {
-  const SlotId slot{addr, key};
+  const SlotAccess slot{addr, key};
   const std::uint64_t* local = storage_.find(slot);
   journal_.push_back(StorageEntry{
       slot, local != nullptr, local != nullptr ? *local : 0});
@@ -324,8 +324,8 @@ void OverlayState::apply_to(State& target) const {
   nonces_.for_each(
       [&](const Address& addr, std::uint64_t v) { target.set_nonce(addr, v); });
   for (const auto& [addr, code] : codes_) target.set_code(addr, *code);
-  storage_.for_each([&](const SlotId& slot, std::uint64_t v) {
-    target.set_storage(slot.addr, slot.key, v);
+  storage_.for_each([&](const SlotAccess& slot, std::uint64_t v) {
+    target.set_storage(slot.address, slot.key, v);
   });
 }
 
@@ -338,7 +338,7 @@ void OverlayState::export_writes(WriteLog& out) const {
     out.nonces_.push_back({addr, v});
   });
   for (const auto& [addr, code] : codes_) out.codes_.emplace_back(addr, code);
-  storage_.for_each([&](const SlotId& slot, std::uint64_t v) {
+  storage_.for_each([&](const SlotAccess& slot, std::uint64_t v) {
     out.storage_.push_back({slot, v});
   });
 }

@@ -27,20 +27,6 @@ using StorageKey = std::uint64_t;
 /// Opaque journal position returned by snapshot().
 using Snapshot = std::size_t;
 
-/// One (account, storage key) coordinate, the overlay's storage index.
-struct SlotId {
-  Address addr;
-  StorageKey key = 0;
-  bool operator==(const SlotId&) const = default;
-};
-struct SlotIdHash {
-  std::size_t operator()(const SlotId& s) const noexcept {
-    // Same hash_combine mixing as SlotAccessHash: XOR-folding the raw
-    // key aliases related (address, key) pairs.
-    return SlotAccessHash{}(SlotAccess{s.addr, s.key});
-  }
-};
-
 /// StateDb's account-table hash: every byte of the address through
 /// mix64, since FlatTable indexes by the low bits and std::hash<Address>
 /// reads only the first eight bytes.
@@ -134,7 +120,7 @@ class WriteLog {
     std::uint64_t value = 0;
   };
   struct StorageOp {
-    SlotId slot;
+    SlotAccess slot;
     std::uint64_t value = 0;
   };
   std::vector<BalanceOp> balances_;
@@ -378,7 +364,7 @@ class OverlayState final : public State {
     std::shared_ptr<const ContractCode> old_code;
   };
   struct StorageEntry {
-    SlotId slot;
+    SlotAccess slot;
     bool existed;
     std::uint64_t old_value;
   };
@@ -391,7 +377,7 @@ class OverlayState final : public State {
   // Code deployments are rare (creations only) and carry shared_ptrs;
   // a node-based map is fine here and keeps FlatTable POD-friendly.
   std::unordered_map<Address, std::shared_ptr<const ContractCode>> codes_;
-  common::FlatTable<SlotId, std::uint64_t, SlotIdHash> storage_;
+  common::FlatTable<SlotAccess, std::uint64_t, SlotAccessHash> storage_;
   mutable std::vector<JournalEntry> journal_;
 };
 

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "account/runtime.h"
 #include "account/types.h"
@@ -125,8 +124,7 @@ class BlockFrame {
     for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
       if (report_.abort_reasons[r] == 0) continue;
       registry_
-          ->counter(std::string(obs::names::kMetricExecAbortPrefix) +
-                    obs::abort_reason_name(static_cast<obs::AbortReason>(r)))
+          ->counter(obs::abort_metric_name(static_cast<obs::AbortReason>(r)))
           .add(report_.abort_reasons[r]);
     }
   }

@@ -2,9 +2,10 @@
 // dependency discovery and targeted re-execution (see block_stm.h).
 //
 // The moving parts, bottom-up:
-//  * MultiVersionStore — sharded (key -> sorted version chain) map; reads
-//    resolve to the highest lower-index write, aborts flip entries to
-//    ESTIMATE markers in place.
+//  * MultiVersionStore — sharded (key -> sorted version chain) map, one
+//    path for every channel; reads resolve to the highest lower-index
+//    write, aborts flip entries to ESTIMATE markers in place. Code
+//    versions hold an index into the store's per-block code table.
 //  * MvStateView — a read-only State over (store, base) that records every
 //    read with the version it observed and throws EstimateAbort on
 //    markers. Workers stack the usual OverlayState on top, so the write
@@ -49,21 +50,21 @@ namespace txconc::exec {
 // ------------------------------------------------------ MultiVersionStore
 
 MultiVersionStore::Chain* MultiVersionStore::Shard::find_chain(
-    const MvKey& key) {
+    const obs::TouchKey& key) {
   const std::uint32_t* slot = index.find(key);
   if (slot == nullptr || *slot == 0) return nullptr;
   return &chains[*slot - 1];
 }
 
 const MultiVersionStore::Chain* MultiVersionStore::Shard::find_chain(
-    const MvKey& key) const {
+    const obs::TouchKey& key) const {
   const std::uint32_t* slot = index.find(key);
   if (slot == nullptr || *slot == 0) return nullptr;
   return &chains[*slot - 1];
 }
 
 MultiVersionStore::Chain& MultiVersionStore::Shard::chain_for(
-    const MvKey& key) {
+    const obs::TouchKey& key) {
   std::uint32_t& slot = index[key];
   if (slot == 0) {
     if (chains_used == chains.size()) chains.emplace_back();
@@ -76,26 +77,8 @@ MultiVersionStore::Chain& MultiVersionStore::Shard::chain_for(
 }
 
 MultiVersionStore::Resolution MultiVersionStore::resolve(
-    const MvKey& key, std::uint32_t reader_tx) const {
+    const obs::TouchKey& key, std::uint32_t reader_tx) const {
   Resolution out;
-  if (key.channel == MvChannel::kCode) {
-    MutexLock lock(code_mu_);
-    auto it = code_versions_.find(key.addr);
-    if (it == code_versions_.end()) return out;
-    // Highest tx strictly below the reader (chains are tx-sorted).
-    const CodeVersion* best = nullptr;
-    for (const CodeVersion& v : it->second) {
-      if (v.tx >= reader_tx) break;
-      best = &v;
-    }
-    if (best == nullptr) return out;
-    out.found = true;
-    out.estimate = best->estimate;
-    out.tx = best->tx;
-    out.incarnation = best->incarnation;
-    out.code = best->code;
-    return out;
-  }
   const Shard& shard = shard_for(key);
   MutexLock lock(shard.mu);
   const Chain* chain = shard.find_chain(key);
@@ -115,12 +98,9 @@ MultiVersionStore::Resolution MultiVersionStore::resolve(
   return out;
 }
 
-void MultiVersionStore::publish(const MvKey& key, std::uint32_t tx,
+void MultiVersionStore::publish(const obs::TouchKey& key, std::uint32_t tx,
                                 std::uint32_t incarnation,
                                 std::uint64_t value) {
-  if (key.channel == MvChannel::kCode) {
-    throw UsageError("MultiVersionStore::publish: use publish_code");
-  }
   Shard& shard = shard_for(key);
   MutexLock lock(shard.mu);
   Chain& chain = shard.chain_for(key);
@@ -138,39 +118,8 @@ void MultiVersionStore::publish(const MvKey& key, std::uint32_t tx,
   chain.insert(it, Version{tx, incarnation, value, false});
 }
 
-void MultiVersionStore::publish_code(
-    const Address& addr, std::uint32_t tx, std::uint32_t incarnation,
-    std::shared_ptr<const account::ContractCode> code) {
-  MutexLock lock(code_mu_);
-  std::vector<CodeVersion>& chain = code_versions_[addr];
-  auto it = std::lower_bound(
-      chain.begin(), chain.end(), tx,
-      [](const CodeVersion& v, std::uint32_t t) { return v.tx < t; });
-  if (it != chain.end() && it->tx == tx) {
-    if (incarnation < it->incarnation) {
-      throw UsageError(
-          "MultiVersionStore::publish_code: incarnation must not decrease");
-    }
-    *it = CodeVersion{tx, incarnation, std::move(code), false};
-    return;
-  }
-  chain.insert(it, CodeVersion{tx, incarnation, std::move(code), false});
-}
-
-void MultiVersionStore::mark_estimate(const MvKey& key, std::uint32_t tx) {
-  if (key.channel == MvChannel::kCode) {
-    MutexLock lock(code_mu_);
-    auto it = code_versions_.find(key.addr);
-    if (it != code_versions_.end()) {
-      for (CodeVersion& v : it->second) {
-        if (v.tx == tx) {
-          v.estimate = true;
-          return;
-        }
-      }
-    }
-    throw UsageError("MultiVersionStore::mark_estimate: no such version");
-  }
+void MultiVersionStore::mark_estimate(const obs::TouchKey& key,
+                                      std::uint32_t tx) {
   Shard& shard = shard_for(key);
   MutexLock lock(shard.mu);
   Chain* chain = shard.find_chain(key);
@@ -185,19 +134,7 @@ void MultiVersionStore::mark_estimate(const MvKey& key, std::uint32_t tx) {
   throw UsageError("MultiVersionStore::mark_estimate: no such version");
 }
 
-bool MultiVersionStore::remove(const MvKey& key, std::uint32_t tx) {
-  if (key.channel == MvChannel::kCode) {
-    MutexLock lock(code_mu_);
-    auto it = code_versions_.find(key.addr);
-    if (it == code_versions_.end()) return false;
-    for (auto vit = it->second.begin(); vit != it->second.end(); ++vit) {
-      if (vit->tx == tx) {
-        it->second.erase(vit);
-        return true;
-      }
-    }
-    return false;
-  }
+bool MultiVersionStore::remove(const obs::TouchKey& key, std::uint32_t tx) {
   Shard& shard = shard_for(key);
   MutexLock lock(shard.mu);
   Chain* chain = shard.find_chain(key);
@@ -218,7 +155,19 @@ void MultiVersionStore::reset() {
     shard.chains_used = 0;
   }
   MutexLock lock(code_mu_);
-  code_versions_.clear();
+  codes_.clear();
+}
+
+std::uint64_t MultiVersionStore::add_code(account::ContractCode code) {
+  MutexLock lock(code_mu_);
+  codes_.push_back(std::move(code));
+  return codes_.size() - 1;
+}
+
+const account::ContractCode* MultiVersionStore::code_at(
+    std::uint64_t index) const {
+  MutexLock lock(code_mu_);
+  return &codes_[index];
 }
 
 namespace {
@@ -226,26 +175,10 @@ namespace {
 using account::AccountTx;
 using account::StorageKey;
 
-/// Map a multi-version coordinate onto the contention sketch's key space
-/// (the channel splits line up by design; obs/contention.h).
-obs::TouchKey touch_key_of(const MvKey& key) {
-  switch (key.channel) {
-    case MvChannel::kBalance:
-      return obs::TouchKey{key.addr, 0, obs::TouchChannel::kBalance};
-    case MvChannel::kNonce:
-      return obs::TouchKey{key.addr, 0, obs::TouchChannel::kNonce};
-    case MvChannel::kCode:
-      return obs::TouchKey{key.addr, 0, obs::TouchChannel::kCode};
-    case MvChannel::kStorage:
-      break;
-  }
-  return obs::TouchKey{key.addr, key.key, obs::TouchChannel::kStorage};
-}
-
 /// One recorded fall-through read: which version the execution observed
 /// for `key` (writer_tx == MultiVersionStore::kBase for base-state reads).
 struct ReadRecord {
-  MvKey key;
+  obs::TouchKey key;
   std::uint32_t writer_tx = 0;
   std::uint32_t writer_inc = 0;
 };
@@ -266,31 +199,27 @@ class MvStateView final : public account::State {
     reader_ = reader_tx;
     reads_ = reads;
     reads_->clear();
-    pinned_codes_.clear();
   }
 
   std::uint64_t balance(const Address& addr) const override {
-    const MvKey key{addr, 0, MvChannel::kBalance};
+    const obs::TouchKey key{addr, 0, obs::TouchChannel::kBalance};
     const MultiVersionStore::Resolution r = record_read(key);
     return r.found ? r.value : base_->balance(addr);
   }
   std::uint64_t nonce(const Address& addr) const override {
-    const MvKey key{addr, 0, MvChannel::kNonce};
+    const obs::TouchKey key{addr, 0, obs::TouchChannel::kNonce};
     const MultiVersionStore::Resolution r = record_read(key);
     return r.found ? r.value : base_->nonce(addr);
   }
   std::uint64_t storage(const Address& addr, StorageKey skey) const override {
-    const MvKey key{addr, skey, MvChannel::kStorage};
+    const obs::TouchKey key{addr, skey, obs::TouchChannel::kStorage};
     const MultiVersionStore::Resolution r = record_read(key);
     return r.found ? r.value : base_->storage(addr, skey);
   }
   const account::ContractCode* code(const Address& addr) const override {
-    const MvKey key{addr, 0, MvChannel::kCode};
+    const obs::TouchKey key{addr, 0, obs::TouchChannel::kCode};
     const MultiVersionStore::Resolution r = record_read(key);
-    if (!r.found) return base_->code(addr);
-    if (r.code == nullptr) return nullptr;
-    pinned_codes_.push_back(r.code);  // outlive the resolving shard lock
-    return pinned_codes_.back().get();
+    return r.found ? store_->code_at(r.value) : base_->code(addr);
   }
 
   // The view is strictly the read layer; all writes and rollback happen in
@@ -314,7 +243,7 @@ class MvStateView final : public account::State {
     throw UsageError("MvStateView is read-only (writes go to the overlay)");
   }
 
-  MultiVersionStore::Resolution record_read(const MvKey& key) const {
+  MultiVersionStore::Resolution record_read(const obs::TouchKey& key) const {
     const MultiVersionStore::Resolution r = store_->resolve(key, reader_);
     if (r.estimate) throw EstimateAbort{r.tx, key};
     reads_->push_back(
@@ -326,8 +255,6 @@ class MvStateView final : public account::State {
   const account::State* base_ = nullptr;
   std::uint32_t reader_ = 0;
   std::vector<ReadRecord>* reads_ = nullptr;
-  mutable std::vector<std::shared_ptr<const account::ContractCode>>
-      pinned_codes_;
 };
 
 // ------------------------------------------------------------ PublishSink
@@ -338,7 +265,7 @@ class MvStateView final : public account::State {
 class PublishSink final : public account::State {
  public:
   void begin(MultiVersionStore* store, std::uint32_t tx,
-             std::uint32_t incarnation, std::vector<MvKey>* keys) {
+             std::uint32_t incarnation, std::vector<obs::TouchKey>* keys) {
     store_ = store;
     tx_ = tx;
     incarnation_ = incarnation;
@@ -347,20 +274,18 @@ class PublishSink final : public account::State {
   }
 
   void set_balance(const Address& addr, std::uint64_t value) override {
-    publish({addr, 0, MvChannel::kBalance}, value);
+    publish({addr, 0, obs::TouchChannel::kBalance}, value);
   }
   void set_nonce(const Address& addr, std::uint64_t value) override {
-    publish({addr, 0, MvChannel::kNonce}, value);
+    publish({addr, 0, obs::TouchChannel::kNonce}, value);
   }
   void set_storage(const Address& addr, StorageKey skey,
                    std::uint64_t value) override {
-    publish({addr, skey, MvChannel::kStorage}, value);
+    publish({addr, skey, obs::TouchChannel::kStorage}, value);
   }
   void set_code(const Address& addr, account::ContractCode code) override {
-    keys_->push_back({addr, 0, MvChannel::kCode});
-    store_->publish_code(
-        addr, tx_, incarnation_,
-        std::make_shared<const account::ContractCode>(std::move(code)));
+    publish({addr, 0, obs::TouchChannel::kCode},
+            store_->add_code(std::move(code)));
   }
 
   std::uint64_t balance(const Address&) const override { write_only(); }
@@ -379,7 +304,7 @@ class PublishSink final : public account::State {
     throw UsageError("PublishSink is write-only (a WriteLog replay target)");
   }
 
-  void publish(const MvKey& key, std::uint64_t value) {
+  void publish(const obs::TouchKey& key, std::uint64_t value) {
     keys_->push_back(key);
     store_->publish(key, tx_, incarnation_, value);
   }
@@ -387,7 +312,7 @@ class PublishSink final : public account::State {
   MultiVersionStore* store_ = nullptr;
   std::uint32_t tx_ = 0;
   std::uint32_t incarnation_ = 0;
-  std::vector<MvKey>* keys_ = nullptr;
+  std::vector<obs::TouchKey>* keys_ = nullptr;
 };
 
 // ----------------------------------------------------- scheduler + engine
@@ -407,7 +332,7 @@ struct TxSlot {
   /// Suspended transactions waiting for this one to finish executing.
   std::vector<std::uint32_t> dependents GUARDED_BY(mu);
   /// Keys the current incarnation published (the abort/diff working set).
-  std::vector<MvKey> last_writes GUARDED_BY(mu);
+  std::vector<obs::TouchKey> last_writes GUARDED_BY(mu);
   /// The incarnation failed the validity checks (stale nonce/balance
   /// against its view) and published nothing; if final, the commit phase
   /// reproduces the sequential ValidationError.
@@ -513,7 +438,7 @@ class BlockStmExecutor final : public BlockExecutor {
   struct WorkerState {
     MvStateView view;
     PublishSink sink;
-    std::vector<MvKey> new_writes;
+    std::vector<obs::TouchKey> new_writes;
     std::vector<std::uint32_t> resume;
   };
 
@@ -709,7 +634,7 @@ class BlockStmExecutor final : public BlockExecutor {
                        static_cast<std::int64_t>(j));
       if (sink_ != nullptr) {
         sink_->record_abort(obs::AbortReason::kBlockStmEstimateAbort,
-                            touch_key_of(blocked.key));
+                            blocked.key);
       }
       suspend_on(j, blocked.blocking_tx);
     } catch (const ValidationError&) {
@@ -731,13 +656,13 @@ class BlockStmExecutor final : public BlockExecutor {
       MutexLock lock(slot.mu);
       wx.sink.begin(&store_, j, incarnation, &wx.new_writes);
       if (log != nullptr) log->apply_to(wx.sink);
-      for (const MvKey& old : slot.last_writes) {
+      for (const obs::TouchKey& old : slot.last_writes) {
         if (std::find(wx.new_writes.begin(), wx.new_writes.end(), old) ==
             wx.new_writes.end()) {
           store_.remove(old, j);
         }
       }
-      for (const MvKey& key : wx.new_writes) {
+      for (const obs::TouchKey& key : wx.new_writes) {
         if (std::find(slot.last_writes.begin(), slot.last_writes.end(),
                       key) == slot.last_writes.end()) {
           wrote_new_path = true;
@@ -822,7 +747,7 @@ class BlockStmExecutor final : public BlockExecutor {
     // ordering: relaxed — statistical counter, read quiescently.
     validations_.fetch_add(1, std::memory_order_relaxed);
     bool valid = true;
-    const MvKey* bad = nullptr;
+    const obs::TouchKey* bad = nullptr;
     for (const ReadRecord& rec : slot.reads) {
       const MultiVersionStore::Resolution r = store_.resolve(rec.key, j);
       const bool match =
@@ -842,12 +767,14 @@ class BlockStmExecutor final : public BlockExecutor {
                      static_cast<std::int64_t>(j));
     if (sink_ != nullptr) {
       sink_->record_abort(obs::AbortReason::kBlockStmValidationFail,
-                          touch_key_of(*bad));
+                          *bad);
     }
     // Expose ESTIMATE markers so dependents suspend instead of reading
     // doomed values, then requeue this transaction and the validation
     // suffix that may have read them.
-    for (const MvKey& key : slot.last_writes) store_.mark_estimate(key, j);
+    for (const obs::TouchKey& key : slot.last_writes) {
+      store_.mark_estimate(key, j);
+    }
     slot.incarnation += 1;
     slot.status = TxSlot::Status::kReady;
     decrease(val_cursor_, static_cast<std::uint64_t>(j) + 1);

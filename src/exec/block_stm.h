@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "account/state.h"
@@ -29,25 +29,6 @@
 
 namespace txconc::exec {
 
-/// Which value channel of an account a multi-version entry covers.
-/// Balance and nonce get their own channels (rather than the tracker's
-/// kBalanceKey aliasing) so a storage slot can never collide with them.
-enum class MvChannel : std::uint8_t {
-  kStorage = 0,
-  kBalance = 1,
-  kNonce = 2,
-  kCode = 3,
-};
-
-/// One multi-version coordinate: (account, storage key, channel).
-struct MvKey {
-  Address addr;
-  account::StorageKey key = 0;  ///< 0 for the non-storage channels
-  MvChannel channel = MvChannel::kStorage;
-
-  bool operator==(const MvKey&) const = default;
-};
-
 /// Thrown by the multi-version view when a read resolves to an ESTIMATE
 /// marker (the blocking transaction aborted and has not re-executed yet).
 /// Deliberately NOT derived from std::exception: the runtime catches
@@ -58,33 +39,29 @@ struct MvKey {
 /// (obs::ContentionSink).
 struct EstimateAbort {
   std::uint32_t blocking_tx = 0;
-  MvKey key;
-};
-
-struct MvKeyHash {
-  std::size_t operator()(const MvKey& k) const noexcept {
-    std::size_t seed =
-        account::SlotAccessHash{}(account::SlotAccess{k.addr, k.key});
-    seed ^= (static_cast<std::size_t>(k.channel) + 0x9e3779b97f4a7c15ULL +
-             (seed << 6) + (seed >> 2));
-    return seed;
-  }
+  obs::TouchKey key;
 };
 
 /// Multi-version in-memory state for one block execution.
 ///
-/// Every write of transaction `tx`, incarnation `inc`, is stored as the
-/// version (tx, inc); a reader at transaction index `r` resolves a key to
-/// the version with the highest tx < r, or falls through to the base
-/// state when no such version exists. Aborted incarnations flip their
-/// versions to ESTIMATE markers in place; a resolution landing on an
-/// estimate tells the reader which transaction to wait for.
+/// Keys are obs::TouchKeys: (account, slot, channel), slot 0 for the
+/// balance, nonce and code channels, so a storage slot never aliases
+/// them. Every write of transaction `tx`, incarnation `inc`, is stored as
+/// the version (tx, inc); a reader at transaction index `r` resolves a
+/// key to the version with the highest tx < r, or falls through to the
+/// base state when no such version exists. Aborted incarnations flip
+/// their versions to ESTIMATE markers in place; a resolution landing on
+/// an estimate tells the reader which transaction to wait for.
+///
+/// Every channel takes the same path. A code version's value is an index
+/// into the store's code table (add_code / code_at), which keeps each
+/// deployment alive until reset().
 ///
 /// Thread safety: internally sharded by key hash; every operation locks
-/// only the key's shard (plus the code map's own mutex for the kCode
-/// channel). Value channels are allocation-free in the steady state —
-/// version chains and the per-shard index keep their capacity across
-/// reset() — matching the engines' hot-path discipline (DESIGN.md §13).
+/// only the key's shard, and the code table has its own mutex. Version
+/// chains and the per-shard index keep their capacity across reset(), so
+/// the steady state is allocation-free apart from deployments — matching
+/// the engines' hot-path discipline (DESIGN.md §13).
 class MultiVersionStore {
  public:
   /// Reader-index sentinel recorded for reads that fell through to the
@@ -97,37 +74,36 @@ class MultiVersionStore {
     std::uint32_t tx = 0;
     std::uint32_t incarnation = 0;
     std::uint64_t value = 0;
-    /// kCode channel only: the resolved deployment (null on fall-through).
-    std::shared_ptr<const account::ContractCode> code;
   };
 
   /// Highest-lower-index read: the version with the greatest tx strictly
   /// below reader_tx, estimates included (callers must check .estimate).
-  TXCONC_HOT Resolution resolve(const MvKey& key, std::uint32_t reader_tx) const;
+  TXCONC_HOT Resolution resolve(const obs::TouchKey& key,
+                                std::uint32_t reader_tx) const;
 
   /// Record `value` as (tx, incarnation). Re-publishing the same (key, tx)
   /// replaces the entry and must not decrease the incarnation — that would
   /// mean a stale execution overwrote a newer one (UsageError).
-  TXCONC_HOT void publish(const MvKey& key, std::uint32_t tx,
+  TXCONC_HOT void publish(const obs::TouchKey& key, std::uint32_t tx,
                           std::uint32_t incarnation, std::uint64_t value);
-
-  /// kCode-channel flavor of publish (deployments are rare; the code
-  /// pointer is shared with every resolving reader).
-  void publish_code(const Address& addr, std::uint32_t tx,
-                    std::uint32_t incarnation,
-                    std::shared_ptr<const account::ContractCode> code);
 
   /// Flip (key, tx)'s version to an ESTIMATE marker, keeping its
   /// incarnation. The entry must exist (UsageError otherwise): aborts mark
   /// exactly the keys the incarnation published.
-  TXCONC_HOT void mark_estimate(const MvKey& key, std::uint32_t tx);
+  TXCONC_HOT void mark_estimate(const obs::TouchKey& key, std::uint32_t tx);
 
   /// Drop (key, tx) entirely (a re-execution stopped writing the key).
   /// @return true when an entry was removed.
-  TXCONC_HOT bool remove(const MvKey& key, std::uint32_t tx);
+  TXCONC_HOT bool remove(const obs::TouchKey& key, std::uint32_t tx);
 
-  /// Logically empty the store for the next block. Capacity of the value
-  /// channels is retained (epoch-cleared index, reused chain vectors).
+  /// Keep `code` until reset(); returns its code-table index, the value a
+  /// code-channel version publishes.
+  std::uint64_t add_code(account::ContractCode code);
+  /// The deployment add_code() returned `index` for (stable until reset()).
+  const account::ContractCode* code_at(std::uint64_t index) const;
+
+  /// Logically empty the store for the next block. Capacity is retained
+  /// (epoch-cleared index, reused chain vectors); the code table empties.
   TXCONC_HOT void reset();
 
  private:
@@ -140,13 +116,6 @@ class MultiVersionStore {
   /// Versions of one key, sorted by tx ascending (chains are short: the
   /// writers of one slot within one block).
   using Chain = std::vector<Version>;
-
-  struct CodeVersion {
-    std::uint32_t tx = 0;
-    std::uint32_t incarnation = 0;
-    std::shared_ptr<const account::ContractCode> code;
-    bool estimate = false;
-  };
 
   static constexpr std::size_t kNumShards = 16;
   /// Shard ids come from the hash's TOP log2(kNumShards) bits: each shard's
@@ -162,30 +131,32 @@ class MultiVersionStore {
     mutable Mutex mu;
     /// key -> chain slot + 1 (0 = unassigned; FlatTable default-constructs
     /// missing values, so the +1 shift doubles as the presence bit).
-    common::FlatTable<MvKey, std::uint32_t, MvKeyHash> index
+    common::FlatTable<obs::TouchKey, std::uint32_t, obs::TouchKeyHash> index
         GUARDED_BY(mu);
     /// Chain storage, recycled across blocks: chains[0..chains_used) are
     /// live this block, the rest are warmed capacity from earlier blocks.
     std::vector<Chain> chains GUARDED_BY(mu);
     std::size_t chains_used GUARDED_BY(mu) = 0;
 
-    TXCONC_HOT Chain& chain_for(const MvKey& key) REQUIRES(mu);
-    TXCONC_HOT Chain* find_chain(const MvKey& key) REQUIRES(mu);
-    TXCONC_HOT const Chain* find_chain(const MvKey& key) const REQUIRES(mu);
+    TXCONC_HOT Chain& chain_for(const obs::TouchKey& key) REQUIRES(mu);
+    TXCONC_HOT Chain* find_chain(const obs::TouchKey& key) REQUIRES(mu);
+    TXCONC_HOT const Chain* find_chain(const obs::TouchKey& key) const
+        REQUIRES(mu);
   };
 
-  TXCONC_HOT Shard& shard_for(const MvKey& key) {
-    return shards_[MvKeyHash{}(key) >> kShardShift];
+  TXCONC_HOT Shard& shard_for(const obs::TouchKey& key) {
+    return shards_[obs::TouchKeyHash{}(key) >> kShardShift];
   }
-  TXCONC_HOT const Shard& shard_for(const MvKey& key) const {
-    return shards_[MvKeyHash{}(key) >> kShardShift];
+  TXCONC_HOT const Shard& shard_for(const obs::TouchKey& key) const {
+    return shards_[obs::TouchKeyHash{}(key) >> kShardShift];
   }
 
   Shard shards_[kNumShards];
 
   mutable Mutex code_mu_;
-  std::unordered_map<Address, std::vector<CodeVersion>> code_versions_
-      GUARDED_BY(code_mu_);
+  /// The block's deployments, append-only; a deque so code_at() pointers
+  /// survive later appends.
+  std::deque<account::ContractCode> codes_ GUARDED_BY(code_mu_);
 };
 
 /// Test hooks for the block-stm engine. The defaults are the production

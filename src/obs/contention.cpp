@@ -7,16 +7,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "account/state.h"
 #include "common/error.h"
 #include "core/components.h"
+#include "obs/names.h"
 
 namespace txconc::obs {
-
-// The sketch's balance sentinel and the tracker's must be the same value;
-// touch_key() depends on it.
-static_assert(kBalanceSlotSentinel == account::AccessTracker::kBalanceKey,
-              "balance-channel sentinel drifted from AccessTracker");
 
 const char* abort_reason_name(AbortReason reason) {
   switch (reason) {
@@ -34,6 +29,18 @@ const char* abort_reason_name(AbortReason reason) {
       break;
   }
   return "unknown";
+}
+
+std::string_view abort_metric_name(AbortReason reason) {
+  static const std::array<std::string, kNumAbortReasons> metric_names = [] {
+    std::array<std::string, kNumAbortReasons> out;
+    for (std::size_t r = 0; r < kNumAbortReasons; ++r) {
+      out[r] = std::string(names::kMetricExecAbortPrefix) +
+               abort_reason_name(static_cast<AbortReason>(r));
+    }
+    return out;
+  }();
+  return metric_names[static_cast<std::size_t>(reason)];
 }
 
 const char* touch_channel_name(TouchChannel channel) {

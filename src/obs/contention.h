@@ -25,9 +25,11 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "account/runtime.h"
+#include "account/state.h"
 #include "account/types.h"
 #include "common/flat_table.h"
 #include "common/hash.h"
@@ -69,13 +71,18 @@ inline constexpr std::size_t kNumAbortReasons =
 /// exec.abort.<name> counter suffix and the JSON key.
 const char* abort_reason_name(AbortReason reason);
 
+/// The reason's registry counter, names::kMetricExecAbortPrefix +
+/// abort_reason_name() (e.g. "exec.abort.spec_conflict"), from a table
+/// built on the first call.
+std::string_view abort_metric_name(AbortReason reason);
+
 /// Per-reason abort tallies, indexed by AbortReason.
 using AbortCounts = std::array<std::uint64_t, kNumAbortReasons>;
 
 // ------------------------------------------------------------ touch keys
 
-/// Which facet of an account a touch hit, aligned with the multi-version
-/// engines' channel split (exec/block_stm.h) so MvKeys map 1:1.
+/// Which facet of an account a touch hit. The same split keys Block-STM's
+/// multi-version store (exec/block_stm.h), whose keys are TouchKeys.
 enum class TouchChannel : std::uint8_t {
   kBalance = 0,
   kNonce,
@@ -84,11 +91,6 @@ enum class TouchChannel : std::uint8_t {
 };
 
 const char* touch_channel_name(TouchChannel channel);
-
-/// AccessTracker records balance/nonce touches as storage key ~0 (see
-/// account::AccessTracker::kBalanceKey; contention.cpp static_asserts the
-/// two constants agree so the layers cannot drift).
-inline constexpr std::uint64_t kBalanceSlotSentinel = ~std::uint64_t{0};
 
 /// One sketchable key: the (address, slot, channel) triple engines
 /// conflict on.
@@ -116,10 +118,11 @@ struct TouchKeyHash {
   }
 };
 
-/// Map one recorded storage-layer access to its sketch key (the balance
-/// sentinel becomes the balance channel).
+/// Map one recorded storage-layer access to its sketch key (the
+/// tracker's balance sentinel, AccessTracker::kBalanceKey, becomes the
+/// balance channel).
 inline TouchKey touch_key(const account::SlotAccess& access) {
-  if (access.key == kBalanceSlotSentinel) {
+  if (access.key == account::AccessTracker::kBalanceKey) {
     return TouchKey{access.address, 0, TouchChannel::kBalance};
   }
   return TouchKey{access.address, access.key, TouchChannel::kStorage};

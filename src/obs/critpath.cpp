@@ -12,6 +12,7 @@
 
 #include "obs/json_reader.h"
 #include "obs/names.h"
+#include "obs/trace.h"
 
 namespace txconc::obs {
 namespace {
@@ -378,15 +379,6 @@ std::string format_pct(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f%%", fraction * 100.0);
   return buf;
-}
-
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
 }
 
 }  // namespace

@@ -120,25 +120,35 @@ Registry& Registry::global() {
   return *registry;
 }
 
-Counter& Registry::counter(const std::string& name) {
-  const MutexLock lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+namespace {
+
+/// The instrument registered under `name`, created on first use; only
+/// that first registration builds the key string.
+template <typename T>
+T& find_or_add(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
+               std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), std::make_unique<T>()).first;
+  }
+  return *it->second;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
+}  // namespace
+
+Counter& Registry::counter(std::string_view name) {
   const MutexLock lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return find_or_add(counters_, name);
 }
 
-Histogram& Registry::histogram(const std::string& name) {
+Gauge& Registry::gauge(std::string_view name) {
   const MutexLock lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_add(gauges_, name);
+}
+
+Histogram& Registry::histogram(std::string_view name) {
+  const MutexLock lock(mu_);
+  return find_or_add(histograms_, name);
 }
 
 std::size_t Registry::size() const {

@@ -2,9 +2,9 @@
 // with CSV export.
 //
 // Lookup (counter()/gauge()/histogram()) takes the registry mutex and
-// returns a stable reference; cache it in hot loops. Updates on the
-// returned instruments are lock-free atomics, safe from every pool
-// worker concurrently.
+// returns a stable reference; cache it in hot loops. A lookup allocates
+// only when it registers a new name. Updates on the returned instruments
+// are lock-free atomics, safe from every pool worker concurrently.
 #pragma once
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/thread_annotations.h"
 
@@ -101,9 +102,9 @@ class Registry {
   /// (thread pool, pbft) and exported by the benches.
   static Registry& global();
 
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  Histogram& histogram(std::string_view name);
 
   /// CSV rows (common/csv quoting): kind,name,value,p50,p95,p99.
   void write_csv(std::ostream& out) const;
@@ -116,11 +117,14 @@ class Registry {
   std::size_t size() const;
 
  private:
+  // std::less<> finds by string_view without building a std::string.
+  template <typename T>
+  using Instruments = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      GUARDED_BY(mu_);
+  Instruments<Counter> counters_ GUARDED_BY(mu_);
+  Instruments<Gauge> gauges_ GUARDED_BY(mu_);
+  Instruments<Histogram> histograms_ GUARDED_BY(mu_);
 };
 
 }  // namespace txconc::obs

@@ -91,7 +91,8 @@ inline constexpr const char* kMetricExecBlockStmValidations =
 inline constexpr const char* kMetricExecBlockStmAborts =
     "exec.block_stm_aborts";
 /// Per-reason abort counters: kMetricExecAbortPrefix +
-/// obs::abort_reason_name(reason), e.g. "exec.abort.spec_conflict".
+/// obs::abort_reason_name(reason), e.g. "exec.abort.spec_conflict"
+/// (obs::abort_metric_name holds the table).
 inline constexpr const char* kMetricExecAbortPrefix = "exec.abort.";
 inline constexpr const char* kMetricPoolDequeueGapUs = "pool.dequeue_gap_us";
 inline constexpr const char* kMetricNodeBlocksProduced =

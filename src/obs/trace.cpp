@@ -275,9 +275,8 @@ std::uint64_t Tracer::dropped() const {
   return total;
 }
 
-namespace {
-
-void write_json_escaped(std::ostream& out, std::string_view text) {
+void write_json_string(std::ostream& out, std::string_view text) {
+  out << '"';
   for (const char c : text) {
     switch (c) {
       case '"': out << "\\\""; break;
@@ -293,9 +292,8 @@ void write_json_escaped(std::ostream& out, std::string_view text) {
         }
     }
   }
+  out << '"';
 }
-
-}  // namespace
 
 void write_trace_ts(std::ostream& out, std::uint64_t ts_ns) {
   const std::uint64_t ns = ts_ns % 1000;
@@ -327,11 +325,11 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   const auto emit = [&](const TraceEvent& event, int tid) {
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":\"";
-    write_json_escaped(out, event.name);
-    out << "\",\"cat\":\"";
-    write_json_escaped(out, event.category);
-    out << "\",\"ph\":\"" << event.phase << "\",\"pid\":"
+    out << "\n{\"name\":";
+    write_json_string(out, event.name);
+    out << ",\"cat\":";
+    write_json_string(out, event.category);
+    out << ",\"ph\":\"" << event.phase << "\",\"pid\":"
         << pid_for(event.process) << ",\"tid\":" << tid << ",\"ts\":";
     write_trace_ts(out, event.ts_ns);
     if (event.phase == 'i') out << ",\"s\":\"t\"";
@@ -379,15 +377,15 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     if (!first) out << ",";
     first = false;
     out << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << p
-        << ",\"tid\":0,\"args\":{\"name\":\"";
-    write_json_escaped(out, pid_labels[p]);
-    out << "\"}}";
+        << ",\"tid\":0,\"args\":{\"name\":";
+    write_json_string(out, pid_labels[p]);
+    out << "}}";
   }
   for (const auto& [pid, tid] : threads_seen) {
     out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":" << tid << ",\"args\":{\"name\":\"";
-    write_json_escaped(out, thread_names[static_cast<std::size_t>(tid)]);
-    out << "\"}}";
+        << ",\"tid\":" << tid << ",\"args\":{\"name\":";
+    write_json_string(out, thread_names[static_cast<std::size_t>(tid)]);
+    out << "}}";
   }
   out << "\n]}\n";
 }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -116,6 +117,11 @@ TraceValidation validate_chrome_trace(const std::string& json);
 /// does: integer microseconds and three fixed decimals, so a timestamp
 /// keeps its nanoseconds however long after the tracer's epoch it falls.
 void write_trace_ts(std::ostream& out, std::uint64_t ts_ns);
+
+/// Write `text` as a quoted JSON string: `"` and `\` escaped, every
+/// control byte as \n, \t or \u00XX. The trace writer and the critical-
+/// path report (obs/critpath.h) both use it.
+void write_json_string(std::ostream& out, std::string_view text);
 
 /// Span/instant recorder. One process-wide instance (global()) backs the
 /// TXCONC_SPAN macros; tests may construct private tracers.

@@ -1,7 +1,8 @@
 // Tests for the Block-STM executor (src/exec/block_stm): the
-// multi-version store's resolution/estimate/incarnation rules, exact
-// re-execution counts on a hand-built dependency chain (deterministic
-// scheduler mode), the negative control proving validation is
+// multi-version store's resolution/estimate/incarnation rules (the code
+// channel included), exact re-execution counts on a hand-built dependency
+// chain and on a call dispatched before its contract's deployment
+// (deterministic scheduler mode), the negative control proving validation is
 // load-bearing, and the one-execution-per-transaction pin on an
 // all-conflicting block (DESIGN.md §13.3 vs §14).
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "account/contracts.h"
 #include "account/runtime.h"
 #include "account/state.h"
 #include "account/types.h"
@@ -21,45 +23,54 @@ namespace {
 
 Address addr(std::uint64_t seed) { return Address::from_seed(seed); }
 
-MvKey balance_key(std::uint64_t seed) {
-  return MvKey{addr(seed), 0, MvChannel::kBalance};
+using obs::TouchChannel;
+using obs::TouchKey;
+
+TouchKey balance_key(std::uint64_t seed) {
+  return TouchKey{addr(seed), 0, TouchChannel::kBalance};
 }
 
-MvKey storage_key(std::uint64_t seed, account::StorageKey key) {
-  return MvKey{addr(seed), key, MvChannel::kStorage};
+TouchKey storage_key(std::uint64_t seed, account::StorageKey key) {
+  return TouchKey{addr(seed), key, TouchChannel::kStorage};
+}
+
+TouchKey code_key(std::uint64_t seed) {
+  return TouchKey{addr(seed), 0, TouchChannel::kCode};
 }
 
 // --------------------------------------------------------------- the store
 
 TEST(MultiVersionStore, ResolvesHighestLowerIndexWrite) {
-  MultiVersionStore store;
-  const MvKey key = storage_key(1, 7);
-  store.publish(key, /*tx=*/2, /*incarnation=*/0, 200);
-  store.publish(key, /*tx=*/8, /*incarnation=*/0, 800);
-  store.publish(key, /*tx=*/5, /*incarnation=*/0, 500);
+  for (const TouchKey& key : {storage_key(1, 7), code_key(1)}) {
+    SCOPED_TRACE(obs::touch_channel_name(key.channel));
+    MultiVersionStore store;
+    store.publish(key, /*tx=*/2, /*incarnation=*/0, 200);
+    store.publish(key, /*tx=*/8, /*incarnation=*/0, 800);
+    store.publish(key, /*tx=*/5, /*incarnation=*/0, 500);
 
-  // A reader resolves the version with the greatest tx strictly below it.
-  const auto r6 = store.resolve(key, 6);
-  EXPECT_TRUE(r6.found);
-  EXPECT_FALSE(r6.estimate);
-  EXPECT_EQ(r6.tx, 5u);
-  EXPECT_EQ(r6.value, 500u);
+    // A reader resolves the version with the greatest tx strictly below it.
+    const auto r6 = store.resolve(key, 6);
+    EXPECT_TRUE(r6.found);
+    EXPECT_FALSE(r6.estimate);
+    EXPECT_EQ(r6.tx, 5u);
+    EXPECT_EQ(r6.value, 500u);
 
-  const auto r9 = store.resolve(key, 9);
-  EXPECT_TRUE(r9.found);
-  EXPECT_EQ(r9.tx, 8u);
-  EXPECT_EQ(r9.value, 800u);
+    const auto r9 = store.resolve(key, 9);
+    EXPECT_TRUE(r9.found);
+    EXPECT_EQ(r9.tx, 8u);
+    EXPECT_EQ(r9.value, 800u);
 
-  // Own index and below the lowest writer fall through to the base state.
-  EXPECT_FALSE(store.resolve(key, 2).found);
-  EXPECT_FALSE(store.resolve(key, 0).found);
-  // A different key is untouched.
-  EXPECT_FALSE(store.resolve(storage_key(1, 8), 9).found);
+    // Own index and below the lowest writer fall through to the base state.
+    EXPECT_FALSE(store.resolve(key, 2).found);
+    EXPECT_FALSE(store.resolve(key, 0).found);
+    // A different key is untouched.
+    EXPECT_FALSE(store.resolve(storage_key(1, 8), 9).found);
+  }
 }
 
 TEST(MultiVersionStore, IncarnationsAreMonotonicPerVersion) {
   MultiVersionStore store;
-  const MvKey key = balance_key(3);
+  const TouchKey key = balance_key(3);
   store.publish(key, 4, /*incarnation=*/1, 10);
   // Same incarnation may republish (idempotent replay); higher replaces.
   store.publish(key, 4, 1, 11);
@@ -72,27 +83,29 @@ TEST(MultiVersionStore, IncarnationsAreMonotonicPerVersion) {
 }
 
 TEST(MultiVersionStore, EstimateBlocksReadersUntilRepublished) {
-  MultiVersionStore store;
-  const MvKey key = balance_key(9);
-  store.publish(key, 3, 0, 111);
+  for (const TouchKey& key : {balance_key(9), code_key(9)}) {
+    SCOPED_TRACE(obs::touch_channel_name(key.channel));
+    MultiVersionStore store;
+    store.publish(key, 3, 0, 111);
 
-  // Abort: the version flips to an ESTIMATE in place, naming its writer.
-  store.mark_estimate(key, 3);
-  const auto blocked = store.resolve(key, 7);
-  EXPECT_TRUE(blocked.found);
-  EXPECT_TRUE(blocked.estimate);
-  EXPECT_EQ(blocked.tx, 3u);
+    // Abort: the version flips to an ESTIMATE in place, naming its writer.
+    store.mark_estimate(key, 3);
+    const auto blocked = store.resolve(key, 7);
+    EXPECT_TRUE(blocked.found);
+    EXPECT_TRUE(blocked.estimate);
+    EXPECT_EQ(blocked.tx, 3u);
 
-  // Readers below the writer are unaffected.
-  EXPECT_FALSE(store.resolve(key, 3).found);
+    // Readers below the writer are unaffected.
+    EXPECT_FALSE(store.resolve(key, 3).found);
 
-  // Re-execution republishes at the next incarnation and unblocks.
-  store.publish(key, 3, 1, 222);
-  const auto resolved = store.resolve(key, 7);
-  EXPECT_TRUE(resolved.found);
-  EXPECT_FALSE(resolved.estimate);
-  EXPECT_EQ(resolved.incarnation, 1u);
-  EXPECT_EQ(resolved.value, 222u);
+    // Re-execution republishes at the next incarnation and unblocks.
+    store.publish(key, 3, 1, 222);
+    const auto resolved = store.resolve(key, 7);
+    EXPECT_TRUE(resolved.found);
+    EXPECT_FALSE(resolved.estimate);
+    EXPECT_EQ(resolved.incarnation, 1u);
+    EXPECT_EQ(resolved.value, 222u);
+  }
 }
 
 TEST(MultiVersionStore, MarkEstimateRequiresAnExistingVersion) {
@@ -101,36 +114,45 @@ TEST(MultiVersionStore, MarkEstimateRequiresAnExistingVersion) {
 }
 
 TEST(MultiVersionStore, RemoveDropsAVersionEntirely) {
-  MultiVersionStore store;
-  const MvKey key = storage_key(2, 1);
-  store.publish(key, 4, 0, 40);
-  store.publish(key, 6, 0, 60);
-  EXPECT_TRUE(store.remove(key, 4));
-  EXPECT_FALSE(store.remove(key, 4));  // already gone
-  EXPECT_FALSE(store.resolve(key, 5).found);
-  EXPECT_EQ(store.resolve(key, 7).tx, 6u);
+  for (const TouchKey& key : {storage_key(2, 1), code_key(2)}) {
+    SCOPED_TRACE(obs::touch_channel_name(key.channel));
+    MultiVersionStore store;
+    store.publish(key, 4, 0, 40);
+    store.publish(key, 6, 0, 60);
+    EXPECT_TRUE(store.remove(key, 4));
+    EXPECT_FALSE(store.remove(key, 4));  // already gone
+    EXPECT_FALSE(store.resolve(key, 5).found);
+    EXPECT_EQ(store.resolve(key, 7).tx, 6u);
+  }
 }
 
 TEST(MultiVersionStore, ChannelsOfOneAccountDoNotAlias) {
   MultiVersionStore store;
+  const TouchKey nonce_key{addr(5), 0, TouchChannel::kNonce};
   store.publish(balance_key(5), 1, 0, 100);
-  store.publish(MvKey{addr(5), 0, MvChannel::kNonce}, 1, 0, 7);
+  store.publish(nonce_key, 1, 0, 7);
   store.publish(storage_key(5, 0), 1, 0, 55);
+  store.publish(code_key(5), 1, 0, 3);
   EXPECT_EQ(store.resolve(balance_key(5), 2).value, 100u);
-  EXPECT_EQ(store.resolve(MvKey{addr(5), 0, MvChannel::kNonce}, 2).value, 7u);
+  EXPECT_EQ(store.resolve(nonce_key, 2).value, 7u);
   EXPECT_EQ(store.resolve(storage_key(5, 0), 2).value, 55u);
+  EXPECT_EQ(store.resolve(code_key(5), 2).value, 3u);
 }
 
 TEST(MultiVersionStore, ResetEmptiesEveryChannel) {
   MultiVersionStore store;
   store.publish(balance_key(1), 1, 0, 10);
   store.publish(storage_key(2, 3), 2, 1, 20);
+  store.publish(code_key(4), 3, 0, 40);
   store.reset();
   EXPECT_FALSE(store.resolve(balance_key(1), 5).found);
   EXPECT_FALSE(store.resolve(storage_key(2, 3), 5).found);
+  EXPECT_FALSE(store.resolve(code_key(4), 5).found);
   // The store is reusable after reset (fresh incarnation numbering).
   store.publish(balance_key(1), 1, 0, 30);
   EXPECT_EQ(store.resolve(balance_key(1), 2).value, 30u);
+  store.publish(code_key(4), 3, 0, 50);
+  EXPECT_EQ(store.resolve(code_key(4), 4).value, 50u);
 }
 
 // ---------------------------------------------------------------- the engine
@@ -238,6 +260,41 @@ TEST(BlockStm, SkippingValidationDivergesOnDependentBlocks) {
   EXPECT_EQ(fixture.state.balance(addr(2)), 70u);
   EXPECT_EQ(fixture.state.balance(addr(3)), 80u);
   EXPECT_NE(fixture.state.digest(), fixture.sequential_digest());
+}
+
+TEST(BlockStm, CallBeforeDeployReexecutesOnTheCodeChannel) {
+  // tx 0 deploys a storage-churn contract; tx 1 calls it. Dispatched
+  // first, tx 1 reads no code at the contract address (a plain zero-value
+  // call); tx 0's deployment then invalidates that code read, and the
+  // re-execution runs the contract: the committed state matches
+  // sequential, with exactly one re-execution of tx 1.
+  account::StateDb genesis;
+  genesis.set_balance(addr(1), 1'000'000);
+  genesis.set_balance(addr(2), 1'000'000);
+  genesis.flush_journal();
+  std::vector<account::AccountTx> block(2);
+  block[0].from = addr(1);
+  block[0].init_code = account::contracts::storage_churn();
+  block[1].from = addr(2);
+  block[1].to = Address::derive_contract(addr(1), 0);
+  block[1].args = {2, 10};  // write slots 10 and 11
+  account::RuntimeConfig config;
+  config.charge_fees = false;
+
+  account::StateDb reference = genesis;
+  make_sequential_executor()->execute_block(reference, block, config);
+  ASSERT_NE(reference.storage(*block[1].to, 10), 0u);
+
+  BlockStmOptions options;
+  options.deterministic = true;
+  options.first_dispatch = {1, 0};
+  account::StateDb state = genesis;
+  const ExecutionReport report =
+      make_block_stm_executor(2, options)->execute_block(state, block, config);
+  ASSERT_EQ(report.tx_attempts.size(), 2u);
+  EXPECT_EQ(report.tx_attempts[0], 1u);
+  EXPECT_EQ(report.tx_attempts[1], 2u);
+  EXPECT_EQ(state.digest(), reference.digest());
 }
 
 TEST(BlockStm, ConcurrentReverseDispatchStaysSequentialEquivalent) {

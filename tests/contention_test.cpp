@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "account/state.h"
 #include "account/types.h"
 #include "obs/contention.h"
 
@@ -348,7 +349,8 @@ TEST_F(SyntheticBlock, UnsoundClosureDropsRecallBelowOne) {
 }
 
 TEST_F(SyntheticBlock, BalanceSentinelMapsToBalanceChannel) {
-  const account::SlotAccess balance{addr(9), obs::kBalanceSlotSentinel};
+  const account::SlotAccess balance{addr(9),
+                                    account::AccessTracker::kBalanceKey};
   const TouchKey key = obs::touch_key(balance);
   EXPECT_EQ(key.channel, TouchChannel::kBalance);
   EXPECT_EQ(key.slot, 0u);

@@ -5,6 +5,7 @@
 // through the global tracer (DESIGN.md §16 warm protocol).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -275,6 +276,31 @@ TEST(CritPath, UnbalancedEndEventIsAParseError) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("unbalanced"), std::string::npos)
       << result.error;
+}
+
+// A process name from outside the program (here: a trace holding a
+// newline and a quote) must come out of the JSON report as escapes, never
+// as raw bytes that break the document.
+TEST(CritPath, ProfileJsonEscapesControlBytesInNames) {
+  std::vector<RawEvent> ev = three_tx_events();
+  ev[0].meta = "two\\nlines \\\"quoted\\\"";  // JSON escapes in the trace
+  const ProfileResult result = profile_chrome_trace(make_trace(ev));
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_EQ(result.blocks.size(), 1u);
+  EXPECT_EQ(result.blocks[0].process, "two\nlines \"quoted\"");
+
+  std::ostringstream out;
+  write_profile_json(out, result.blocks[0]);
+  const std::string json = out.str();
+  EXPECT_NE(json.find(R"("process":"two\nlines \"quoted\"")"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << "raw control byte in " << json;
 }
 
 // ------------------------------------------- registry engine round-trip

@@ -8,10 +8,12 @@
 // flat epoch-cleared containers the promise rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <utility>
@@ -29,6 +31,10 @@
 #include "exec/executor.h"
 #include "exec/scratch.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
+#include "obs/scope.h"
+#include "obs/trace.h"
 
 // ------------------------------------------------- allocation counting
 // Same counting override as obs_test.cpp: a single relaxed atomic per
@@ -447,13 +453,12 @@ TEST(ThreadPoolHotPath, WarmParallelForSlotsDoesNotAllocate) {
 // index, the reset/publish/resolve cycle must stay off the heap entirely.
 TEST(MultiVersionStoreHotPath, WarmResetAndRepublishAreAllocationFree) {
   using exec::MultiVersionStore;
-  using exec::MvChannel;
-  using exec::MvKey;
 
   MultiVersionStore store;
   constexpr std::uint32_t kKeys = 128;
   const auto key_of = [](std::uint32_t k) {
-    return MvKey{Address::from_seed(k % 32), k, MvChannel::kStorage};
+    return obs::TouchKey{Address::from_seed(k % 32), k,
+                         obs::TouchChannel::kStorage};
   };
   const auto fill = [&](std::uint64_t salt) {
     for (std::uint32_t k = 0; k < kKeys; ++k) {
@@ -505,8 +510,9 @@ std::uint64_t steady_state_budget(const std::string& engine) {
 }
 
 // Allocations of the third run of one 200-tx block (two warm runs
-// first), with some receiver fan-in conflicts.
-std::uint64_t steady_state_allocations(exec::BlockExecutor& executor) {
+// first), with some receiver fan-in conflicts, reporting into `scope`.
+std::uint64_t steady_state_allocations(exec::BlockExecutor& executor,
+                                       const obs::Scope* scope = nullptr) {
   account::StateDb db;
   std::vector<account::AccountTx> block;
   for (std::uint64_t s = 1; s <= kSteadyStateTxs; ++s) {
@@ -522,6 +528,7 @@ std::uint64_t steady_state_allocations(exec::BlockExecutor& executor) {
   db.flush_journal();
   account::RuntimeConfig config;
   config.enforce_nonce = false;  // replay the same block repeatedly
+  config.obs = scope;
 
   for (int warm = 0; warm < 2; ++warm) {
     executor.execute_block(db, block, config);
@@ -557,19 +564,50 @@ TEST(EngineAllocations, BlockStmSteadyStateStaysWithinBudget) {
       << " allocations for " << kSteadyStateTxs << " transactions";
 }
 
+// A registry engine at 2 threads; block-stm is pinned in deterministic
+// mode, where its allocation count is exact.
+std::unique_ptr<exec::BlockExecutor> make_pinned(
+    const exec::ExecutorSpec& spec) {
+  if (spec.name != "block-stm") return spec.make(2);
+  exec::BlockStmOptions deterministic;
+  deterministic.deterministic = true;
+  return exec::make_block_stm_executor(2, deterministic);
+}
+
 // Every registry engine has a budget, so a new engine cannot join the
 // registry without one.
 TEST(EngineAllocations, EveryEngineSteadyStateStaysWithinBudget) {
   for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
-    exec::BlockStmOptions deterministic;
-    deterministic.deterministic = true;
-    const auto executor = spec.name == "block-stm"
-                              ? exec::make_block_stm_executor(2, deterministic)
-                              : spec.make(2);
+    const auto executor = make_pinned(spec);
     const std::uint64_t spent = steady_state_allocations(*executor);
     EXPECT_LE(spent, steady_state_budget(spec.name))
         << "steady-state " << spec.name << " block burned " << spent
         << " allocations for " << kSteadyStateTxs << " transactions";
+  }
+}
+
+// Reporting into a metrics registry costs a warm block no allocation:
+// every instrument it touches was registered by the warm blocks, and a
+// lookup by name builds no string. Each side keeps its lowest of three
+// measured blocks on one executor, so a one-time allocation (a pool
+// worker's first grain) cannot land on one side only.
+TEST(EngineAllocations, InstalledRegistryAddsNoAllocations) {
+  obs::Tracer::global();  // created once, not inside a measured block
+  for (const exec::ExecutorSpec& spec : exec::executor_registry()) {
+    const auto executor = make_pinned(spec);
+    obs::Registry registry;
+    const obs::Scope scope{nullptr, &registry};
+    std::uint64_t bare = ~std::uint64_t{0};
+    std::uint64_t metered = ~std::uint64_t{0};
+    for (int round = 0; round < 3; ++round) {
+      bare = std::min(bare, steady_state_allocations(*executor));
+      metered =
+          std::min(metered, steady_state_allocations(*executor, &scope));
+    }
+    EXPECT_EQ(metered, bare) << spec.name;
+    EXPECT_GT(registry.counter_values().at(obs::names::kMetricExecBlocks),
+              0u)
+        << spec.name;
   }
 }
 
