@@ -541,8 +541,9 @@ void write_bench_exec_json() {
 // (obs/contention.h) from the engine's own observed access sets —
 // measured c/l at slot and address granularity, prediction quality of the
 // a-priori closures, per-reason abort taxonomy and top hot keys — next to
-// the sketch's wall overhead (instrumented vs sketch-off run, median of
-// the same warm-rep protocol as the exec artifact). intent_c/l come from
+// the sink's wall overhead, `sketch_overhead` (instrumented vs
+// uninstrumented run, median of the same warm-rep protocol as the exec
+// artifact). intent_c/l come from
 // analysis::analyze_account_block over the same transactions and
 // receipts: a fully independent implementation of the paper's address
 // TDG, so agreement with measured_c_address is a real cross-check, gated
@@ -567,8 +568,7 @@ std::string json_hot_keys(const obs::BlockContention& c) {
         object({{"addr", quoted(key.key.addr.short_hex())},
                 {"channel", quoted(obs::touch_channel_name(key.key.channel))},
                 {"slot", json(key.key.slot)},
-                {"count", json(key.count)},
-                {"error", json(key.error)}}));
+                {"count", json(key.count)}}));
   }
   return join(keys, "[", "]");
 }
@@ -616,7 +616,7 @@ void write_bench_contention_json() {
           c.engine_abort_totals = report.abort_reasons;
           // wall_seconds covers execute_block only: the closure walk
           // and the cold finish_block analysis stay untimed, so the
-          // on/off delta isolates the in-execution sketch feeding.
+          // on/off delta isolates the in-execution touch counting.
           return report.wall_seconds;
         }).median_seconds;
     const double wall_off =
@@ -659,7 +659,6 @@ void write_bench_contention_json() {
                   {"block_sizes", json_sizes(grid)},
                   {"hw_cores", json(std::thread::hardware_concurrency())},
                   {"tx_work", json(g_tx_work)},
-                  {"sketch_k", json(obs::SpaceSavingSketch::kDefaultK)},
                   {"warmup", json(bench_warmup())}},
                  rows);
 }

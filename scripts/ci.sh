@@ -6,7 +6,8 @@
 #    then an observability smoke: a traced fast-mode ablation_engines run
 #    in build/obs-smoke must emit a valid, non-empty Chrome trace AND the
 #    critpath profiler's attribution sum invariant must hold for every
-#    engine ("profile OK"), leaving the committed BENCH_*.json unchanged,
+#    engine ("profile OK"), leaving any top-level BENCH_*.json unchanged
+#    and creating none,
 #    and on x86-64 the sequential block paths' prefetcht0 instructions
 #    must be in the built objects ("prefetch OK");
 #  * asan  — ASan/UBSan on exec_test + conformance_test + audit_test:
@@ -21,7 +22,8 @@
 #    code, and txconc_contend replays every engine through the contention
 #    probe and its gates;
 #  * tsan  — TSan on the same binaries: data races, with the conformance
-#    schedule perturber widening the interleavings each seed explores;
+#    schedule perturber widening the interleavings each seed explores,
+#    and txconc_contend's pool workers feeding the contention sink;
 #  * tsa   — Clang Thread Safety Analysis: recompiles every library with
 #    -Wthread-safety -Werror=thread-safety-analysis, turning the
 #    GUARDED_BY/REQUIRES annotations (common/thread_annotations.h) into
@@ -48,8 +50,8 @@
 #    untracked share), and BENCH_contention.json (measured c/l, hot keys,
 #    prediction quality), gated by --contend with its own doctored-JSON
 #    negative control. A schema guard requires every header and row key
-#    of the committed baselines (and of the top-level BENCH_profile.json)
-#    in the fresh files, with a dropped-key negative control. After an
+#    of the committed baselines in the fresh files, with a dropped-key
+#    negative control. After an
 #    intentional perf change, refresh the
 #    baselines with
 #      scripts/bench_gate --exec BENCH_exec.json --obs BENCH_obs.json \
@@ -117,17 +119,20 @@ if lane_enabled tier1; then
   # attribution sum invariant for every registry engine ("profile OK";
   # see run_traced_smoke in bench/ablation_engines.cpp). The bench
   # writes its BENCH_*.json into the CWD, so it runs in build/obs-smoke
-  # in fast mode, and the committed top-level files must come out of
-  # the lane byte-identical.
-  committed_bench_sums="$(sha256sum BENCH_*.json)"
+  # in fast mode, and the top-level BENCH_*.json files (a clean checkout
+  # has none) must come out of the lane byte-identical, none created.
+  top_bench_sums() {
+    find . -maxdepth 1 -name 'BENCH_*.json' -exec sha256sum {} + | sort -k2
+  }
+  committed_bench_sums="$(top_bench_sums)"
   mkdir -p build/obs-smoke
   (cd build/obs-smoke && TXCONC_BENCH_FAST=1 TXCONC_TRACE=trace.json \
     ../bench/ablation_engines --benchmark_filter='^$' > smoke.log 2>&1)
   grep -q "trace OK" build/obs-smoke/smoke.log
   grep -q "profile OK" build/obs-smoke/smoke.log
   test -s build/obs-smoke/trace.json
-  if [ "$(sha256sum BENCH_*.json)" != "${committed_bench_sums}" ]; then
-    echo "tier1 lane FAILED: a committed BENCH_*.json changed"
+  if [ "$(top_bench_sums)" != "${committed_bench_sums}" ]; then
+    echo "tier1 lane FAILED: a top-level BENCH_*.json appeared or changed"
     exit 1
   fi
   echo "obs smoke OK: build/obs-smoke/trace.json"
@@ -181,7 +186,7 @@ if lane_enabled asan; then
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/wallet_node_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/obs_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/hotpath_test
-  # The contention sketch/sink under ASan: lane merges, eviction churn.
+  # The contention sink under ASan: threaded recording and lane merges.
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/contention_test
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/block_stm_test
   # The registry round-trip executes every engine through the global
@@ -229,10 +234,15 @@ if lane_enabled tsan; then
   cmake --build build-tsan -j"${JOBS}" \
     --target exec_test --target conformance_test --target audit_test \
     --target obs_test --target trace_propagation_test --target hotpath_test \
-    --target block_stm_test --target critpath_test --target contention_test
+    --target block_stm_test --target critpath_test --target contention_test \
+    --target txconc_contend
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/obs_test
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/hotpath_test
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/contention_test
+  # Every engine's pool workers feed the contention sink's lanes.
+  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tools/txconc_contend/txconc_contend \
+    > build-tsan/contend.log 2>&1
+  echo "tsan txconc_contend OK: every engine passed the contention gates"
   # block_stm_test's concurrent rounds drive the MV store, ESTIMATE
   # suspension, and validation sweep from real pool workers.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/block_stm_test
@@ -333,8 +343,9 @@ if lane_enabled bench; then
     --contend build/bench-fresh/BENCH_contention.json
   echo "bench gate vs committed baselines: OK"
   # Schema guard: every fresh row must carry every row key of the
-  # committed file, and the fresh header every header key, for each
-  # baseline and for the top-level BENCH_profile.json (it has none).
+  # committed baseline, and the fresh header every header key.
+  # BENCH_profile.json has no baseline; bench_gate --profile indexes
+  # every key it reads strictly, so a missing one fails there.
   # A doctored copy with one row key dropped must trip it.
   check_schema() {  # check_schema <committed> <fresh>
     python3 - "$1" "$2" <<'PYEOF'
@@ -348,7 +359,7 @@ if missing:
     sys.exit(f"{sys.argv[2]} lacks keys of {sys.argv[1]}: " + ", ".join(missing))
 PYEOF
   }
-  for committed in bench/baselines/BENCH_*.json BENCH_profile.json; do
+  for committed in bench/baselines/BENCH_*.json; do
     check_schema "${committed}" "build/bench-fresh/$(basename "${committed}")"
   done
   python3 -c 'import json, sys; d = json.load(open(sys.argv[1]));

@@ -22,13 +22,9 @@ namespace txconc::exec {
 
 class ContentionProbe final : public BlockObserver {
  public:
-  explicit ContentionProbe(
-      std::size_t sketch_k = obs::SpaceSavingSketch::kDefaultK)
-      : observer_(sketch_k) {}
-
   /// Install through HistoryReplayer::set_access_recorder (or
   /// RuntimeConfig::recorder) so every execution attempt's observed
-  /// access sets reach the sketch.
+  /// access sets reach the sink.
   const account::AccessRecorder* recorder() const { return &observer_; }
   /// Point obs::Scope::contention here so engines can attribute aborts.
   obs::ContentionSink* sink() { return &observer_.sink(); }

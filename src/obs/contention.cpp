@@ -57,114 +57,12 @@ const char* touch_channel_name(TouchChannel channel) {
   return "unknown";
 }
 
-// --------------------------------------------------------------- sketch
-
-SpaceSavingSketch::SpaceSavingSketch(std::size_t k)
-    : entries_(k == 0 ? 1 : k), index_((k == 0 ? 1 : k) * 2) {}
-
-TXCONC_HOT SpaceSavingSketch::Entry& SpaceSavingSketch::slot_for(
-    const TouchKey& key, std::uint64_t weight) {
-  if (std::uint32_t* idx = index_.find(key)) {
-    Entry& hit = entries_[*idx];
-    hit.count += weight;
-    return hit;
-  }
-  if (live_ < entries_.size()) {
-    Entry& fresh = entries_[live_];
-    fresh.key = key;
-    fresh.count = weight;
-    fresh.error = 0;
-    fresh.reasons = {};
-    index_[key] = static_cast<std::uint32_t>(live_);
-    ++live_;
-    return fresh;
-  }
-  // At capacity: the minimum-count entry hands its slot (and its count,
-  // as the new entry's error bound) to the arriving key.
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (entries_[i].count < entries_[victim].count) victim = i;
-  }
-  Entry& taken = entries_[victim];
-  index_.erase(taken.key);
-  ++tombstones_;
-  taken.error = taken.count;
-  taken.count += weight;
-  taken.key = key;
-  taken.reasons = {};
-  // Reclaim tombstones in place well before FlatTable's 3/4 load factor
-  // could make the insert below allocate.
-  if ((live_ + tombstones_) * 2 >= index_.capacity()) rebuild_index();
-  index_[key] = static_cast<std::uint32_t>(victim);
-  return taken;
-}
-
-TXCONC_HOT void SpaceSavingSketch::rebuild_index() {
-  index_.clear();
-  tombstones_ = 0;
-  for (std::size_t i = 0; i < live_; ++i) {
-    index_[entries_[i].key] = static_cast<std::uint32_t>(i);
-  }
-}
-
-TXCONC_HOT void SpaceSavingSketch::admit(const TouchKey& key,
-                                         std::uint64_t weight) {
-  if (weight == 0) return;
-  total_ += weight;
-  slot_for(key, weight);
-}
-
-TXCONC_HOT void SpaceSavingSketch::admit_abort(const TouchKey& key,
-                                               AbortReason reason) {
-  total_ += 1;
-  Entry& entry = slot_for(key, 1);
-  ++entry.reasons[static_cast<std::size_t>(reason)];
-}
-
-TXCONC_HOT void SpaceSavingSketch::absorb(const SpaceSavingSketch& other) {
-  for (const Entry& theirs : other.entries()) {
-    if (theirs.count == 0) continue;
-    total_ += theirs.count;
-    Entry& mine = slot_for(theirs.key, theirs.count);
-    mine.error += theirs.error;
-    for (std::size_t r = 0; r < kNumAbortReasons; ++r) {
-      mine.reasons[r] += theirs.reasons[r];
-    }
-  }
-}
-
-TXCONC_HOT void SpaceSavingSketch::clear() {
-  live_ = 0;
-  total_ = 0;
-  tombstones_ = 0;
-  index_.clear();
-}
-
-std::vector<SpaceSavingSketch::Entry> SpaceSavingSketch::top() const {
-  std::vector<Entry> out(entries().begin(), entries().end());
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    if (a.error != b.error) return a.error < b.error;
-    return a.key < b.key;  // deterministic render order among ties
-  });
-  return out;
-}
-
 // ----------------------------------------------------------------- sink
 
-ContentionSink::ContentionSink(std::size_t sketch_k, std::size_t lanes)
-    : merged_touches_(sketch_k), merged_aborts_(sketch_k) {
-  if (lanes == 0) lanes = 1;
-  lanes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(sketch_k));
-  }
-}
-
-TXCONC_HOT ContentionSink::Lane& ContentionSink::lane() const {
+TXCONC_HOT ContentionSink::Lane& ContentionSink::lane() {
   const std::size_t h =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return *lanes_[h % lanes_.size()];
+  return lanes_[h % kLanes];
 }
 
 TXCONC_HOT void ContentionSink::record_touches(
@@ -172,24 +70,17 @@ TXCONC_HOT void ContentionSink::record_touches(
     std::span<const account::SlotAccess> writes) {
   Lane& mine = lane();
   MutexLock lock(mine.mu);
-  for (const account::SlotAccess& r : reads) mine.touches.admit(touch_key(r));
-  for (const account::SlotAccess& w : writes) {
-    mine.touches.admit(touch_key(w));
-  }
-}
-
-TXCONC_HOT void ContentionSink::record_touch(const TouchKey& key) {
-  Lane& mine = lane();
-  MutexLock lock(mine.mu);
-  mine.touches.admit(key);
+  for (const account::SlotAccess& r : reads) ++mine.touches[touch_key(r)];
+  for (const account::SlotAccess& w : writes) ++mine.touches[touch_key(w)];
 }
 
 TXCONC_HOT void ContentionSink::record_abort(AbortReason reason,
                                              const TouchKey& key) {
   Lane& mine = lane();
   MutexLock lock(mine.mu);
-  ++mine.abort_tally[static_cast<std::size_t>(reason)];
-  mine.aborts.admit_abort(key, reason);
+  const auto r = static_cast<std::size_t>(reason);
+  ++mine.abort_tally[r];
+  ++mine.aborts[key][r];
 }
 
 TXCONC_HOT void ContentionSink::record_abort(AbortReason reason) {
@@ -199,35 +90,40 @@ TXCONC_HOT void ContentionSink::record_abort(AbortReason reason) {
 }
 
 void ContentionSink::begin_block() {
-  for (auto& lane : lanes_) {
-    MutexLock lock(lane->mu);
-    lane->touches.clear();
-    lane->aborts.clear();
-    lane->abort_tally = {};
+  for (Lane& lane : lanes_) {
+    MutexLock lock(lane.mu);
+    lane.touches.clear();
+    lane.aborts.clear();
+    lane.abort_tally = {};
   }
   merged_touches_.clear();
   merged_aborts_.clear();
   merged_abort_totals_ = {};
+  merged_total_touches_ = 0;
 }
 
 void ContentionSink::finish_block() {
   merged_touches_.clear();
   merged_aborts_.clear();
   merged_abort_totals_ = {};
-  for (auto& lane : lanes_) {
-    MutexLock lock(lane->mu);
-    merged_touches_.absorb(lane->touches);
-    merged_aborts_.absorb(lane->aborts);
+  merged_total_touches_ = 0;
+  for (Lane& lane : lanes_) {
+    MutexLock lock(lane.mu);
+    lane.touches.for_each([&](const TouchKey& key, std::uint64_t count) {
+      merged_touches_[key] += count;
+      merged_total_touches_ += count;
+    });
+    lane.aborts.for_each([&](const TouchKey& key, const AbortCounts& counts) {
+      AbortCounts& merged = merged_aborts_[key];
+      for (std::size_t r = 0; r < kNumAbortReasons; ++r) merged[r] += counts[r];
+    });
     for (std::size_t r = 0; r < kNumAbortReasons; ++r) {
-      merged_abort_totals_[r] += lane->abort_tally[r];
+      merged_abort_totals_[r] += lane.abort_tally[r];
     }
   }
 }
 
 // ------------------------------------------------------------- observer
-
-ContentionObserver::ContentionObserver(std::size_t sketch_k)
-    : sink_(sketch_k) {}
 
 void ContentionObserver::begin_block(
     std::span<const account::AccountTx> txs) {
@@ -255,13 +151,19 @@ void ContentionObserver::on_complete(const account::AccountTx&,
 
 namespace {
 
-std::vector<HotKey> to_hot_keys(const SpaceSavingSketch& sketch) {
-  std::vector<HotKey> out;
-  for (const SpaceSavingSketch::Entry& e : sketch.top()) {
-    if (e.count == 0) continue;
-    out.push_back(HotKey{e.key, e.count, e.error, e.reasons});
-  }
-  return out;
+std::uint64_t total_of(const AbortCounts& counts) {
+  std::uint64_t total = 0;
+  for (std::uint64_t c : counts) total += c;
+  return total;
+}
+
+/// Descending count, ties by ascending key: a total order, so the ranking
+/// depends on the counts alone.
+void rank(std::vector<HotKey>& keys) {
+  std::sort(keys.begin(), keys.end(), [](const HotKey& a, const HotKey& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return a.key < b.key;
+  });
 }
 
 }  // namespace
@@ -401,10 +303,16 @@ BlockContention ContentionObserver::finish_block(
     }
   }
 
-  // --- sketch views --------------------------------------------------
+  // --- per-key counts -----------------------------------------------
   block.total_touches = sink_.total_touches();
-  block.hot_keys = to_hot_keys(sink_.touches());
-  block.abort_keys = to_hot_keys(sink_.aborts());
+  sink_.touches().for_each([&](const TouchKey& key, std::uint64_t count) {
+    block.hot_keys.push_back(HotKey{key, count, {}});
+  });
+  rank(block.hot_keys);
+  sink_.aborts().for_each([&](const TouchKey& key, const AbortCounts& counts) {
+    block.abort_keys.push_back(HotKey{key, total_of(counts), counts});
+  });
+  rank(block.abort_keys);
   block.sink_abort_totals = sink_.abort_totals();
   return block;
 }
@@ -446,18 +354,11 @@ void write_keys_json(std::ostream& out, const std::vector<HotKey>& keys,
     const HotKey& k = keys[i];
     out << "{\"addr\":\"" << k.key.addr.to_hex() << "\",\"channel\":\""
         << touch_channel_name(k.key.channel) << "\",\"slot\":" << k.key.slot
-        << ",\"count\":" << k.count << ",\"error\":" << k.error
-        << ",\"reasons\":";
+        << ",\"count\":" << k.count << ",\"reasons\":";
     write_reason_json(out, k.reasons);
     out << '}';
   }
   out << ']';
-}
-
-std::uint64_t total_of(const AbortCounts& counts) {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  return total;
 }
 
 }  // namespace
@@ -501,9 +402,7 @@ void write_text(std::ostream& out, const BlockContention& block,
       << block.total_touches << " touches):\n";
   for (std::size_t i = 0; i < block.hot_keys.size() && i < top_k; ++i) {
     const HotKey& k = block.hot_keys[i];
-    out << "  " << key_label(k.key) << "  " << k.count;
-    if (k.error != 0) out << " (+-" << k.error << ")";
-    out << '\n';
+    out << "  " << key_label(k.key) << "  " << k.count << '\n';
   }
   if (!block.abort_keys.empty()) {
     out << "abort attribution (top "

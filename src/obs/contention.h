@@ -5,8 +5,8 @@
 // transaction conflict rate `c` and the group conflict rate `l` — but the
 // runtime only ever sees their *predicted* versions. This layer closes
 // the loop from the engines' side: every execution attempt feeds its
-// observed read/write sets into a lane-sharded, allocation-free
-// SpaceSaving top-k sketch over (address, slot, channel) touches, engines
+// observed read/write sets into lane-sharded, allocation-free exact
+// counts of (address, slot, channel) touches, engines
 // attribute their aborts (speculative conflicts, fww poisonings,
 // Block-STM estimate-aborts / validation failures) to the
 // specific keys that caused them, and a per-block observer computes
@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -92,7 +91,7 @@ enum class TouchChannel : std::uint8_t {
 
 const char* touch_channel_name(TouchChannel channel);
 
-/// One sketchable key: the (address, slot, channel) triple engines
+/// One counted key: the (address, slot, channel) triple engines
 /// conflict on.
 struct TouchKey {
   Address addr;
@@ -118,7 +117,7 @@ struct TouchKeyHash {
   }
 };
 
-/// Map one recorded storage-layer access to its sketch key (the
+/// Map one recorded storage-layer access to its touch key (the
 /// tracker's balance sentinel, AccessTracker::kBalanceKey, becomes the
 /// balance channel).
 inline TouchKey touch_key(const account::SlotAccess& access) {
@@ -128,84 +127,23 @@ inline TouchKey touch_key(const account::SlotAccess& access) {
   return TouchKey{access.address, access.key, TouchChannel::kStorage};
 }
 
-// ------------------------------------------------------------- sketch
-
-/// SpaceSaving top-k heavy-hitter sketch (Metwally et al.) over TouchKeys.
-///
-/// Fixed k counter slots plus a FlatTable index; when a new key arrives at
-/// capacity it evicts the minimum-count entry, inheriting its count as the
-/// `error` bound (true count is in [count - error, count]). The guarantee:
-/// any key with true frequency > total/k is present. Steady state is
-/// allocation-free — the entry array never resizes and the index is
-/// rebuilt in place (epoch clear + reinsert) before tombstones could force
-/// a growth; tests/contention_test.cpp enforces this with a counting
-/// operator new, like hotpath_test does for the engines.
-///
-/// Not thread-safe; ContentionSink shards instances per lane.
-class SpaceSavingSketch {
- public:
-  struct Entry {
-    TouchKey key;
-    std::uint64_t count = 0;
-    /// Maximum overestimation of count (min-count at takeover time).
-    std::uint64_t error = 0;
-    /// Per-reason attribution (used by the abort sketch; zero for pure
-    /// touch sketches).
-    AbortCounts reasons{};
-  };
-
-  explicit SpaceSavingSketch(std::size_t k = kDefaultK);
-
-  /// Count `weight` touches of `key`.
-  TXCONC_HOT void admit(const TouchKey& key, std::uint64_t weight = 1);
-  /// Count one abort of `reason` attributed to `key`.
-  TXCONC_HOT void admit_abort(const TouchKey& key, AbortReason reason);
-
-  /// Fold another sketch into this one (counts add, errors add for shared
-  /// keys; standard SpaceSaving merge). Allocation-free once warm.
-  TXCONC_HOT void absorb(const SpaceSavingSketch& other);
-
-  /// Logically empty the sketch, retaining capacity.
-  TXCONC_HOT void clear();
-
-  /// Live entries, unsorted (cold-path accessor for merge/report).
-  std::span<const Entry> entries() const { return {entries_.data(), live_}; }
-  /// Entries sorted by descending count (cold path; allocates).
-  std::vector<Entry> top() const;
-
-  std::size_t capacity() const { return entries_.size(); }
-  std::size_t live() const { return live_; }
-  /// Total weight admitted (exact, independent of evictions).
-  std::uint64_t total() const { return total_; }
-
-  static constexpr std::size_t kDefaultK = 32;
-
- private:
-  TXCONC_HOT Entry& slot_for(const TouchKey& key, std::uint64_t weight);
-  TXCONC_HOT void rebuild_index();
-
-  std::vector<Entry> entries_;  ///< fixed size k after construction
-  std::size_t live_ = 0;
-  std::uint64_t total_ = 0;
-  /// Evictions tombstone the index; rebuild_index() reclaims them in
-  /// place before FlatTable's load factor could trigger a (re)allocation.
-  std::size_t tombstones_ = 0;
-  common::FlatTable<TouchKey, std::uint32_t, TouchKeyHash> index_;
-};
-
 // -------------------------------------------------------------- sink
 
 /// Thread-safe contention event collector, carried next to the tracer and
 /// metrics registry in obs::Scope. Writers (pool workers inside engines
 /// and the access-recorder hook) hash their thread id onto one of a few
-/// mutex-guarded lanes, each holding a private touch sketch, abort sketch
-/// and abort tally — near-zero contention, no registration, and the hot
-/// path stays allocation-free once the lanes are warm. finish_block()
-/// merges the lanes into the block-level view the reports render.
+/// mutex-guarded lanes, each holding exact per-key touch counts, per-key
+/// abort counts and an abort tally — near-zero contention, no
+/// registration, and the hot path stays allocation-free once the lanes'
+/// tables have grown to the block's footprint. finish_block() adds the
+/// lanes into the block-level tables the reports render; addition
+/// commutes, so which lane a thread lands on changes no output.
 class ContentionSink {
  public:
-  explicit ContentionSink(std::size_t sketch_k = SpaceSavingSketch::kDefaultK,
-                          std::size_t lanes = kDefaultLanes);
+  /// Exact touch count per key.
+  using TouchCounts = common::FlatTable<TouchKey, std::uint64_t, TouchKeyHash>;
+  /// Exact per-reason abort counts per key.
+  using KeyAborts = common::FlatTable<TouchKey, AbortCounts, TouchKeyHash>;
 
   // --- hot path (any thread) ---
 
@@ -213,46 +151,43 @@ class ContentionSink {
   TXCONC_HOT void record_touches(
       std::span<const account::SlotAccess> reads,
       std::span<const account::SlotAccess> writes);
-  /// Record one touch directly (engines with their own key types).
-  TXCONC_HOT void record_touch(const TouchKey& key);
   /// Record an abort attributed to a specific key.
   TXCONC_HOT void record_abort(AbortReason reason, const TouchKey& key);
   /// Record an abort with no attributable key (e.g. speculative's valid
   /// members of a component poisoned by an invalid attempt): counted in
-  /// the totals, absent from the key sketch.
+  /// the totals, absent from the per-key table.
   TXCONC_HOT void record_abort(AbortReason reason);
 
   // --- block lifecycle (one thread, between executions) ---
 
   /// Reset every lane and the merged view for a new block.
   void begin_block();
-  /// Merge the lanes into the block-level sketches/tallies.
+  /// Add the lanes into the block-level tables and tallies.
   void finish_block();
 
   /// Merged views (valid after finish_block()).
-  const SpaceSavingSketch& touches() const { return merged_touches_; }
-  const SpaceSavingSketch& aborts() const { return merged_aborts_; }
+  const TouchCounts& touches() const { return merged_touches_; }
+  const KeyAborts& aborts() const { return merged_aborts_; }
   const AbortCounts& abort_totals() const { return merged_abort_totals_; }
-  std::uint64_t total_touches() const { return merged_touches_.total(); }
-
-  static constexpr std::size_t kDefaultLanes = 8;
+  std::uint64_t total_touches() const { return merged_total_touches_; }
 
  private:
-  struct Lane {
-    Mutex mu;
-    SpaceSavingSketch touches GUARDED_BY(mu);
-    SpaceSavingSketch aborts GUARDED_BY(mu);
-    AbortCounts abort_tally GUARDED_BY(mu){};
+  static constexpr std::size_t kLanes = 8;
 
-    explicit Lane(std::size_t sketch_k) : touches(sketch_k), aborts(sketch_k) {}
+  struct alignas(64) Lane {
+    Mutex mu;
+    TouchCounts touches GUARDED_BY(mu);
+    KeyAborts aborts GUARDED_BY(mu);
+    AbortCounts abort_tally GUARDED_BY(mu){};
   };
 
-  TXCONC_HOT Lane& lane() const;
+  TXCONC_HOT Lane& lane();
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  SpaceSavingSketch merged_touches_;
-  SpaceSavingSketch merged_aborts_;
+  std::array<Lane, kLanes> lanes_;
+  TouchCounts merged_touches_;
+  KeyAborts merged_aborts_;
   AbortCounts merged_abort_totals_{};
+  std::uint64_t merged_total_touches_ = 0;
 };
 
 // ----------------------------------------------------- per-block report
@@ -264,11 +199,11 @@ struct ComponentBucket {
   std::size_t count = 0;
 };
 
-/// One rendered heavy hitter.
+/// One rendered key: its exact count (touches, or aborts summed over
+/// reasons) and, for abort keys, the per-reason split.
 struct HotKey {
   TouchKey key;
   std::uint64_t count = 0;
-  std::uint64_t error = 0;
   AbortCounts reasons{};
 };
 
@@ -305,7 +240,8 @@ struct BlockContention {
   double over_approx = 1.0;
   bool has_prediction = false;
 
-  /// Heavy hitters (descending count) and abort attribution.
+  /// Every touched key and every abort-attributed key, by descending
+  /// count, ties by ascending key.
   std::uint64_t total_touches = 0;
   std::vector<HotKey> hot_keys;
   std::vector<HotKey> abort_keys;
@@ -329,9 +265,6 @@ struct BlockContention {
 /// exec/contention_probe.h).
 class ContentionObserver final : public account::AccessRecorder {
  public:
-  explicit ContentionObserver(
-      std::size_t sketch_k = SpaceSavingSketch::kDefaultK);
-
   ContentionSink& sink() { return sink_; }
   const ContentionSink& sink() const { return sink_; }
 

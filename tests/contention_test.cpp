@@ -1,17 +1,21 @@
 // Contention explainer tests (DESIGN.md §17).
 //
-// Covers the SpaceSaving sketch against hand-computed admission/eviction
-// sequences, lane merging, the observer's measured-c/l and prediction-
-// quality arithmetic on synthetic receipts, and — with a counting
-// operator new, mirroring hotpath_test — the promise that the warm
-// sketch/sink hot path performs ZERO heap allocations.
+// Covers the sink's exact per-key counts and their lane merge against a
+// hand-computed multi-threaded recording, the observer's measured-c/l
+// and prediction-quality arithmetic on synthetic receipts, and — with a
+// counting operator new, mirroring hotpath_test — the promise that the
+// warm sink hot path performs ZERO heap allocations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "account/state.h"
@@ -47,7 +51,6 @@ namespace txconc {
 namespace {
 
 using obs::AbortReason;
-using obs::SpaceSavingSketch;
 using obs::TouchChannel;
 using obs::TouchKey;
 
@@ -61,148 +64,10 @@ TouchKey skey(std::uint64_t seed, std::uint64_t slot) {
   return TouchKey{addr(seed), slot, TouchChannel::kStorage};
 }
 
-const SpaceSavingSketch::Entry* find_entry(const SpaceSavingSketch& sketch,
-                                           const TouchKey& key) {
-  for (const SpaceSavingSketch::Entry& e : sketch.entries()) {
-    if (e.key == key) return &e;
-  }
-  return nullptr;
-}
-
-// ------------------------------------------------------------- sketch
-
-TEST(SpaceSavingSketch, ExactWhileUnderCapacity) {
-  SpaceSavingSketch sketch(4);
-  sketch.admit(skey(1, 0), 5);
-  sketch.admit(skey(2, 0), 3);
-  sketch.admit(skey(3, 0), 2);
-  sketch.admit(skey(4, 0), 1);
-  EXPECT_EQ(sketch.live(), 4u);
-  EXPECT_EQ(sketch.total(), 11u);
-  const std::uint64_t expected[] = {5, 3, 2, 1};
-  for (std::uint64_t s = 1; s <= 4; ++s) {
-    const auto* e = find_entry(sketch, skey(s, 0));
-    ASSERT_NE(e, nullptr) << s;
-    EXPECT_EQ(e->count, expected[s - 1]) << s;
-    EXPECT_EQ(e->error, 0u) << s;  // no evictions yet: exact counts
-  }
-}
-
-TEST(SpaceSavingSketch, HandComputedEvictionInheritsMinCountAsError) {
-  SpaceSavingSketch sketch(4);
-  sketch.admit(skey(1, 0), 5);  // A
-  sketch.admit(skey(2, 0), 3);  // B
-  sketch.admit(skey(3, 0), 2);  // C
-  sketch.admit(skey(4, 0), 1);  // D — the minimum
-  // E arrives at capacity: D (count 1) hands over its slot; E's count is
-  // 1 + 1 = 2 with error bound 1 (Metwally's takeover rule).
-  sketch.admit(skey(5, 0), 1);  // E
-  EXPECT_EQ(sketch.total(), 12u);
-  EXPECT_EQ(find_entry(sketch, skey(4, 0)), nullptr);  // D evicted
-  const auto* e = find_entry(sketch, skey(5, 0));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->count, 2u);
-  EXPECT_EQ(e->error, 1u);
-  // The heavy-hitter guarantee: true frequency > total/k => present.
-  // A's 5 > 12/4 = 3, and its count stayed exact.
-  const auto* a = find_entry(sketch, skey(1, 0));
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->count, 5u);
-  EXPECT_EQ(a->error, 0u);
-  // top() is descending by count: A leads.
-  const std::vector<SpaceSavingSketch::Entry> top = sketch.top();
-  ASSERT_FALSE(top.empty());
-  EXPECT_EQ(top.front().key, skey(1, 0));
-  EXPECT_EQ(top.front().count, 5u);
-}
-
-TEST(SpaceSavingSketch, AdmitAbortAttributesPerReasonCounts) {
-  SpaceSavingSketch sketch(4);
-  const TouchKey k = skey(7, 3);
-  sketch.admit_abort(k, AbortReason::kFwwPoisoned);
-  sketch.admit_abort(k, AbortReason::kFwwPoisoned);
-  sketch.admit_abort(k, AbortReason::kSpecConflict);
-  const auto* e = find_entry(sketch, k);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->count, 3u);
-  EXPECT_EQ(e->reasons[static_cast<std::size_t>(AbortReason::kFwwPoisoned)],
-            2u);
-  EXPECT_EQ(e->reasons[static_cast<std::size_t>(AbortReason::kSpecConflict)],
-            1u);
-  EXPECT_EQ(sketch.total(), 3u);
-}
-
-TEST(SpaceSavingSketch, AbsorbAddsCountsErrorsAndReasons) {
-  // Build an inexact donor: k = 1 forces one eviction, so its surviving
-  // entry carries a nonzero error bound.
-  SpaceSavingSketch donor(1);
-  donor.admit(skey(1, 0), 2);  // A
-  donor.admit(skey(2, 0), 1);  // B evicts A: count 3, error 2
-  donor.admit_abort(skey(2, 0), AbortReason::kSpecConflict);  // count 4
-  {
-    const auto* b = find_entry(donor, skey(2, 0));
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->count, 4u);
-    EXPECT_EQ(b->error, 2u);
-  }
-
-  SpaceSavingSketch into(4);
-  into.admit(skey(2, 0), 10);
-  into.admit(skey(3, 0), 1);
-  into.absorb(donor);
-  EXPECT_EQ(into.total(), 11u + donor.total());
-  const auto* b = find_entry(into, skey(2, 0));
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->count, 14u);  // 10 + donor's 4
-  EXPECT_EQ(b->error, 2u);   // errors add for shared keys
-  EXPECT_EQ(b->reasons[static_cast<std::size_t>(AbortReason::kSpecConflict)],
-            1u);
-  const auto* c = find_entry(into, skey(3, 0));
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->count, 1u);  // untouched by the merge
-}
-
-TEST(SpaceSavingSketch, ClearRetainsCapacityAndForgetsEntries) {
-  SpaceSavingSketch sketch(8);
-  for (std::uint64_t s = 0; s < 20; ++s) sketch.admit(skey(s, 0));
-  const std::size_t cap = sketch.capacity();
-  sketch.clear();
-  EXPECT_EQ(sketch.capacity(), cap);
-  EXPECT_EQ(sketch.live(), 0u);
-  EXPECT_EQ(sketch.total(), 0u);
-  sketch.admit(skey(3, 0), 2);
-  const auto* e = find_entry(sketch, skey(3, 0));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->count, 2u);   // no leakage from the previous era
-  EXPECT_EQ(e->error, 0u);
-}
-
-// The steady-state promise: once the sketch has seen its footprint, a
-// clear + churn cycle — including evictions and the in-place index
-// rebuilds they trigger — never touches the heap.
-TEST(SpaceSavingSketch, WarmChurnWithEvictionsIsAllocationFree) {
-  SpaceSavingSketch sketch(32);
-  std::vector<TouchKey> keys;
-  for (std::uint64_t s = 0; s < 96; ++s) keys.push_back(skey(s, s % 7));
-  // Warm: one full pass establishes every internal capacity.
-  for (const TouchKey& k : keys) sketch.admit(k);
-  const std::uint64_t before = allocations();
-  for (int round = 0; round < 50; ++round) {
-    sketch.clear();
-    for (const TouchKey& k : keys) {
-      sketch.admit(k);
-      sketch.admit_abort(k, AbortReason::kSpecConflict);
-    }
-  }
-  EXPECT_EQ(allocations() - before, 0u)
-      << "warm SpaceSaving admit/evict churn must not allocate";
-  EXPECT_EQ(sketch.total(), 96u * 2u);
-}
-
 // ---------------------------------------------------------------- sink
 
 TEST(ContentionSink, KeyedAndKeylessAbortsBothTally) {
-  obs::ContentionSink sink(8);
+  obs::ContentionSink sink;
   sink.begin_block();
   sink.record_abort(AbortReason::kSpecConflict, skey(1, 0));
   sink.record_abort(AbortReason::kSpecConflict, skey(1, 0));
@@ -211,12 +76,12 @@ TEST(ContentionSink, KeyedAndKeylessAbortsBothTally) {
   const obs::AbortCounts& totals = sink.abort_totals();
   EXPECT_EQ(totals[static_cast<std::size_t>(AbortReason::kSpecConflict)], 2u);
   EXPECT_EQ(totals[static_cast<std::size_t>(AbortReason::kInvalidAttempt)], 1u);
-  // Only the keyed aborts land in the key sketch.
-  EXPECT_EQ(sink.aborts().total(), 2u);
-  const auto* e = find_entry(sink.aborts(), skey(1, 0));
+  // Only the keyed aborts land in the per-key table.
+  ASSERT_EQ(sink.aborts().size(), 1u);
+  const obs::AbortCounts* e = sink.aborts().find(skey(1, 0));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->reasons[static_cast<std::size_t>(AbortReason::kSpecConflict)],
-            2u);
+  EXPECT_EQ(std::accumulate(e->begin(), e->end(), std::uint64_t{0}), 2u);
+  EXPECT_EQ((*e)[static_cast<std::size_t>(AbortReason::kSpecConflict)], 2u);
 }
 
 TEST(ContentionSink, WarmBlockCycleIsAllocationFree) {
@@ -227,11 +92,12 @@ TEST(ContentionSink, WarmBlockCycleIsAllocationFree) {
     reads.push_back(account::SlotAccess{addr(s), s});
     writes.push_back(account::SlotAccess{addr(s % 8), s});
   }
+  const account::SlotAccess hot{addr(3), 1};  // skey(3, 1)
   const auto run_block = [&] {
     sink.begin_block();
     for (int i = 0; i < 16; ++i) {
       sink.record_touches(reads, writes);
-      sink.record_touch(skey(3, 1));
+      sink.record_touches({&hot, 1}, {});
       sink.record_abort(AbortReason::kSpecConflict, skey(3, 1));
       sink.record_abort(AbortReason::kInvalidAttempt);
     }
@@ -243,6 +109,116 @@ TEST(ContentionSink, WarmBlockCycleIsAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "the warm record/merge block cycle must not allocate";
   EXPECT_GT(sink.total_touches(), 0u);
+}
+
+// Four threads record 44 storage keys of one account (more than the 32
+// entries a fixed-size top-k summary keeps) and keyed aborts of two
+// reasons on 36 of them. Each key's events are dealt round-robin across
+// the threads, so its count is split over several lanes. The merged view
+// must hold the exact counts, ranked by count with ties by ascending
+// slot, and must not change when every thread records in reverse order.
+TEST(ContentionSink, MergedCountsAreExactAndIndependentOfRecordOrder) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kTouched = 44;
+  constexpr std::uint64_t kAborted = 36;
+  constexpr auto kSpec = static_cast<std::size_t>(AbortReason::kSpecConflict);
+  constexpr auto kFww = static_cast<std::size_t>(AbortReason::kFwwPoisoned);
+  const auto key = [](std::uint64_t slot) { return skey(7, slot); };
+  // Slot s < 40 is touched s + 1 times; slots 40..43 tie slot 19 at 20.
+  const auto touches = [](std::uint64_t s) { return s < 40 ? s + 1 : 20; };
+  // Slot s < 36 aborts 1 + s / 2 times, the first half (rounded up)
+  // spec_conflict and the rest fww_poisoned; slots 2c and 2c + 1 tie.
+  const auto aborts = [](std::uint64_t s) { return 1 + s / 2; };
+
+  struct Event {
+    std::uint64_t slot = 0;
+    int kind = 0;  // 0 touch, 1 spec_conflict, 2 fww_poisoned
+  };
+  std::vector<Event> events;
+  for (std::uint64_t s = 0; s < kTouched; ++s) {
+    for (std::uint64_t i = 0; i < touches(s); ++i) events.push_back({s, 0});
+  }
+  for (std::uint64_t s = 0; s < kAborted; ++s) {
+    for (std::uint64_t i = 0; i < aborts(s); ++i) {
+      events.push_back({s, i < (aborts(s) + 1) / 2 ? 1 : 2});
+    }
+  }
+  std::array<std::vector<Event>, kThreads> dealt;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    dealt[i % kThreads].push_back(events[i]);
+  }
+
+  // Hand-ranked expectation. Touches: slots 39..20, then the five-way tie
+  // at 20 in slot order (19, 40, 41, 42, 43), then slots 18..0.
+  std::vector<obs::HotKey> want_hot;
+  for (std::uint64_t s = 39; s >= 20; --s) {
+    want_hot.push_back({key(s), s + 1, {}});
+  }
+  for (std::uint64_t s : {19, 40, 41, 42, 43}) {
+    want_hot.push_back({key(s), 20, {}});
+  }
+  for (std::uint64_t s = 19; s-- > 0;) want_hot.push_back({key(s), s + 1, {}});
+  // Aborts: count c = 18..1 on slot 2c - 2, then slot 2c - 1.
+  std::vector<obs::HotKey> want_aborts;
+  for (std::uint64_t c = 18; c >= 1; --c) {
+    for (std::uint64_t s : {2 * c - 2, 2 * c - 1}) {
+      obs::HotKey k{key(s), c, {}};
+      k.reasons[kSpec] = (c + 1) / 2;
+      k.reasons[kFww] = c / 2;
+      want_aborts.push_back(k);
+    }
+  }
+
+  const auto run = [&](bool reversed) {
+    obs::ContentionObserver observer;
+    observer.begin_block({});
+    obs::ContentionSink& sink = observer.sink();
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<Event> mine = dealt[t];
+        if (reversed) std::reverse(mine.begin(), mine.end());
+        for (const Event& e : mine) {
+          const account::SlotAccess access{addr(7), e.slot};
+          if (e.kind == 0) {
+            sink.record_touches({&access, 1}, {});
+          } else {
+            sink.record_abort(e.kind == 1 ? AbortReason::kSpecConflict
+                                          : AbortReason::kFwwPoisoned,
+                              key(e.slot));
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    return observer.finish_block({});
+  };
+  const auto expect_keys = [](const std::vector<obs::HotKey>& got,
+                              const std::vector<obs::HotKey>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key) << "rank " << i;
+      EXPECT_EQ(got[i].count, want[i].count) << "rank " << i;
+      EXPECT_EQ(got[i].reasons, want[i].reasons) << "rank " << i;
+    }
+  };
+
+  const obs::BlockContention forward = run(false);
+  const obs::BlockContention backward = run(true);
+  std::uint64_t total = 0;
+  for (std::uint64_t s = 0; s < kTouched; ++s) total += touches(s);
+  for (const obs::BlockContention* block : {&forward, &backward}) {
+    EXPECT_EQ(block->total_touches, total);
+    expect_keys(block->hot_keys, want_hot);
+    expect_keys(block->abort_keys, want_aborts);
+    EXPECT_EQ(block->sink_abort_totals[kSpec] + block->sink_abort_totals[kFww],
+              events.size() - total);
+  }
+  std::ostringstream a;
+  std::ostringstream b;
+  obs::write_json(a, forward, want_hot.size());
+  obs::write_json(b, backward, want_hot.size());
+  EXPECT_EQ(a.str(), b.str());
 }
 
 // ------------------------------------------------------------ observer
@@ -299,9 +275,11 @@ TEST_F(SyntheticBlock, MeasuredRatesAndHistogramMatchHandComputation) {
   EXPECT_EQ(block.component_histogram[1].count, 1u);
   // Hot keys: (a2, storage[7]) was touched 2x, (a6, storage[1]) once.
   EXPECT_EQ(block.total_touches, 3u);
-  ASSERT_FALSE(block.hot_keys.empty());
+  ASSERT_EQ(block.hot_keys.size(), 2u);
   EXPECT_EQ(block.hot_keys.front().key, skey(2, 7));
   EXPECT_EQ(block.hot_keys.front().count, 2u);
+  EXPECT_EQ(block.hot_keys.back().key, skey(6, 1));
+  EXPECT_EQ(block.hot_keys.back().count, 1u);
   EXPECT_FALSE(block.has_prediction);
 }
 

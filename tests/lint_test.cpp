@@ -115,15 +115,6 @@ TEST(LintRules, SpanPairingSilentOnGoodFixture) {
   expect_silent("span_pairing_good.cpp", "span-pairing");
 }
 
-TEST(LintRules, SpanPairingFiresOnRawSketchEmission) {
-  // sketch.admit plus abort_sketch->admit_abort.
-  expect_fires("contention_sketch_bad.cpp", "span-pairing", 2);
-}
-
-TEST(LintRules, SpanPairingSilentOnSinkRoutedSketch) {
-  expect_silent("contention_sketch_good.cpp", "span-pairing");
-}
-
 TEST(LintSuppression, MalformedCommentsAreFindingsAndSuppressNothing) {
   Linter linter;
   const fs::path p = fixture("suppression_bad.cpp");

@@ -614,21 +614,12 @@ void rule_span_pairing(const Corpus& corpus, std::vector<Finding>& out) {
       "begin_causal", "flow_start", "flow_bind"};
   static const std::unordered_set<std::string> kRawWithTracer = {
       "begin", "end", "instant"};
-  // SpaceSavingSketch is deliberately not thread-safe; everything outside
-  // the contention layer must feed touches/aborts through the lane-sharded
-  // ContentionSink::record_* API instead of poking a sketch directly.
-  static const std::unordered_set<std::string> kSketchRaw = {"admit",
-                                                             "admit_abort"};
   for (const FileModel& fm : corpus) {
     // The Tracer implementation itself is the one legitimate caller.
     const std::string& p = fm.lx.path;
     if (p.size() >= 13 && p.compare(p.size() - 13, 13, "obs/trace.cpp") == 0) {
       continue;
     }
-    // The contention layer owns the sketches (the sink's lanes feed their
-    // private instances under the lane mutex).
-    const bool contention_impl =
-        p.find("obs/contention.") != std::string::npos;
     for (const FunctionDef& fn : fm.functions) {
       // The RAII wrappers (CausalSpan / SpanGuard and friends) are the
       // sanctioned call sites wherever they are defined.
@@ -646,17 +637,6 @@ void rule_span_pairing(const Corpus& corpus, std::vector<Finding>& out) {
                "raw Tracer emission '" + cs.name +
                    "' outside the RAII span helpers (use TXCONC_SPAN / "
                    "CausalSpan so begin/end stay paired)"});
-          continue;
-        }
-        const bool sketch_recv = !contention_impl &&
-                                 kSketchRaw.count(cs.name) != 0 &&
-                                 contains(lower(cs.receiver), "sketch");
-        if (sketch_recv) {
-          out.push_back(
-              {"span-pairing", fm.lx.path, cs.line,
-               "raw contention-sketch emission '" + cs.name +
-                   "' outside obs/contention (route touches through the "
-                   "thread-safe ContentionSink::record_* API)"});
         }
       }
     }
