@@ -31,8 +31,8 @@
 #include "common/sha256.h"
 #include "core/components.h"
 #include "core/scheduling.h"
+#include "exec/contention_probe.h"
 #include "exec/executor.h"
-#include "exec/predict.h"
 #include "obs/contention.h"
 #include "obs/critpath.h"
 #include "obs/scope.h"
@@ -541,13 +541,13 @@ void write_bench_exec_json() {
 // (obs/contention.h) from the engine's own observed access sets —
 // measured c/l at slot and address granularity, prediction quality of the
 // a-priori closures, per-reason abort taxonomy and top hot keys — next to
-// the sink's wall overhead, `sketch_overhead` (instrumented vs
+// the sink's wall overhead, `sink_overhead` (instrumented vs
 // uninstrumented run, median of the same warm-rep protocol as the exec
-// artifact). intent_c/l come from
-// analysis::analyze_account_block over the same transactions and
-// receipts: a fully independent implementation of the paper's address
-// TDG, so agreement with measured_c_address is a real cross-check, gated
-// by scripts/bench_gate --contend.
+// artifact). intent_c/l come from analysis::analyze_account_block over
+// the same transactions and sequential's receipts, the same function the
+// probe applies to the engine's receipts for measured_c_address: their
+// agreement, gated by scripts/bench_gate --contend, checks that the
+// engine touched what sequential execution touches.
 std::string json_aborts(const obs::BlockContention& c) {
   Fields aborts;
   for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
@@ -594,31 +594,25 @@ void write_bench_contention_json() {
     const int reps = bench_reps();
     const int warmup = bench_warmup();
     const auto executor = cell.spec->make(cell.threads);
-    obs::ContentionObserver observer;
+    exec::ContentionProbe probe;
     obs::Scope scope;
-    scope.contention = &observer.sink();
+    scope.contention = probe.sink();
     account::RuntimeConfig instrumented = config;
-    instrumented.recorder = &observer;
+    instrumented.recorder = &probe;
     instrumented.obs = &scope;
-    obs::BlockContention c;
     const double wall_on =
         bench::measure_reps(reps, warmup, [&] {
           account::StateDb db = *cell.block.genesis;
-          observer.begin_block(cell.block.txs);
-          for (std::size_t i = 0; i < cell.block.txs.size(); ++i) {
-            const std::vector<Address> closure =
-                exec::predicted_addresses(cell.block.txs[i], db);
-            observer.set_predicted(i, closure);
-          }
+          probe.before_block(cell.block.txs, db);
           const exec::ExecutionReport report =
               executor->execute_block(db, cell.block.txs, instrumented);
-          c = observer.finish_block(report.receipts);
-          c.engine_abort_totals = report.abort_reasons;
+          probe.after_block(report);
           // wall_seconds covers execute_block only: the closure walk
-          // and the cold finish_block analysis stay untimed, so the
+          // and the cold after_block analysis stay untimed, so the
           // on/off delta isolates the in-execution touch counting.
           return report.wall_seconds;
         }).median_seconds;
+    const obs::BlockContention& c = probe.blocks().back();
     const double wall_off =
         bench::measure_reps(reps, warmup, [&] {
           account::StateDb db = *cell.block.genesis;
@@ -651,7 +645,7 @@ void write_bench_contention_json() {
                {"hot_keys", json_hot_keys(c)},
                {"wall_seconds", json(wall_on)},
                {"wall_seconds_off", json(wall_off)},
-               {"sketch_overhead",
+               {"sink_overhead",
                 json(wall_off > 0.0 ? wall_on / wall_off : 0.0)}}));
   }
   write_artifact("BENCH_contention.json",

@@ -102,12 +102,8 @@ core::ConflictStats analyze_account_block(
   return core::account_conflict_stats(components, tdg.tx_refs);
 }
 
-core::ConflictStats analyze_account_block_slots(
-    std::span<const account::AccountTx> transactions,
+core::ComponentSet account_slot_components(
     std::span<const account::Receipt> receipts) {
-  if (receipts.size() != transactions.size()) {
-    throw UsageError("analyze_account_block_slots: receipt count mismatch");
-  }
   // Conflict graph over *transactions*: union transactions whose write set
   // intersects another's read or write set.
   struct SlotUse {
@@ -125,7 +121,7 @@ core::ConflictStats analyze_account_block_slots(
     }
   }
 
-  core::Tdg graph(transactions.size());
+  core::Tdg graph(receipts.size());
   for (const auto& [slot, use] : slots) {
     if (use.writers.empty()) continue;
     const std::uint32_t first_writer = use.writers.front();
@@ -136,13 +132,20 @@ core::ConflictStats analyze_account_block_slots(
       if (r != first_writer) graph.add_edge(first_writer, r);
     }
   }
+  return core::connected_components_dsu(graph);
+}
 
-  const core::ComponentSet components = core::connected_components_dsu(graph);
-  std::vector<double> gas(transactions.size());
+core::ConflictStats analyze_account_block_slots(
+    std::span<const account::AccountTx> transactions,
+    std::span<const account::Receipt> receipts) {
+  if (receipts.size() != transactions.size()) {
+    throw UsageError("analyze_account_block_slots: receipt count mismatch");
+  }
+  std::vector<double> gas(receipts.size());
   for (std::size_t i = 0; i < receipts.size(); ++i) {
     gas[i] = static_cast<double>(receipts[i].gas_used);
   }
-  return core::utxo_conflict_stats(components, gas);
+  return core::utxo_conflict_stats(account_slot_components(receipts), gas);
 }
 
 }  // namespace txconc::analysis

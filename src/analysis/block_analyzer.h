@@ -5,6 +5,7 @@
 #include <span>
 
 #include "account/types.h"
+#include "core/components.h"
 #include "core/metrics.h"
 #include "core/tdg.h"
 #include "utxo/transaction.h"
@@ -45,10 +46,16 @@ core::ConflictStats analyze_account_block(
     std::span<const account::Receipt> receipts,
     bool include_internal = true);
 
-/// Storage-slot-granularity conflict stats (the definition of Saraph &
-/// Herlihy [17]): transactions conflict when one writes a slot another
-/// reads or writes. The paper argues this finds *fewer* conflicted pairs
-/// than address granularity for same-address/different-slot traffic, but
+/// Storage-slot-granularity conflict partition (the definition of Saraph
+/// & Herlihy [17]) over *transactions*: node i is receipt i's transaction,
+/// and transactions share a component when one writes a slot another
+/// reads or writes.
+core::ComponentSet account_slot_components(
+    std::span<const account::Receipt> receipts);
+
+/// Conflict stats of account_slot_components; weighted metrics use
+/// per-tx gas. The paper argues this finds *fewer* conflicted pairs than
+/// address granularity for same-address/different-slot traffic, but
 /// cannot see group structure; the ablation bench quantifies the gap.
 core::ConflictStats analyze_account_block_slots(
     std::span<const account::AccountTx> transactions,

@@ -426,9 +426,6 @@ class BlockStmExecutor final : public BlockExecutor {
       registry->counter(obs::names::kMetricExecBlockStmValidations)
           // ordering: relaxed — quiescent read-back, as above.
           .add(validations_.load(std::memory_order_relaxed));
-      registry->counter(obs::names::kMetricExecBlockStmAborts)
-          // ordering: relaxed — quiescent read-back, as above.
-          .add(aborts_.load(std::memory_order_relaxed));
     }
     return std::move(report);
   }

@@ -1,14 +1,10 @@
 #include "obs/contention.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <ostream>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "common/error.h"
-#include "core/components.h"
 #include "obs/names.h"
 
 namespace txconc::obs {
@@ -123,200 +119,6 @@ void ContentionSink::finish_block() {
   }
 }
 
-// ------------------------------------------------------------- observer
-
-void ContentionObserver::begin_block(
-    std::span<const account::AccountTx> txs) {
-  txs_ = txs;
-  predicted_.assign(txs.size(), {});
-  has_prediction_ = false;
-  sink_.begin_block();
-}
-
-void ContentionObserver::set_predicted(std::size_t tx_index,
-                                       std::span<const Address> closure) {
-  if (tx_index >= predicted_.size()) {
-    throw UsageError("ContentionObserver::set_predicted: tx out of range");
-  }
-  predicted_[tx_index].assign(closure.begin(), closure.end());
-  has_prediction_ = true;
-}
-
-void ContentionObserver::on_begin(const account::AccountTx&) const {}
-
-void ContentionObserver::on_complete(const account::AccountTx&,
-                                     const account::Receipt& receipt) const {
-  sink_.record_touches(receipt.reads, receipt.writes);
-}
-
-namespace {
-
-std::uint64_t total_of(const AbortCounts& counts) {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  return total;
-}
-
-/// Descending count, ties by ascending key: a total order, so the ranking
-/// depends on the counts alone.
-void rank(std::vector<HotKey>& keys) {
-  std::sort(keys.begin(), keys.end(), [](const HotKey& a, const HotKey& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.key < b.key;
-  });
-}
-
-}  // namespace
-
-BlockContention ContentionObserver::finish_block(
-    std::span<const account::Receipt> receipts) {
-  if (receipts.size() != txs_.size()) {
-    throw UsageError("ContentionObserver::finish_block: receipt count "
-                     "mismatch (pass the report's final receipts)");
-  }
-  sink_.finish_block();
-
-  BlockContention block;
-  const std::size_t n = txs_.size();
-  block.num_txs = n;
-
-  // --- measured conflicts, storage-slot granularity -----------------
-  // Transactions conflict when they touch the same (address, slot) and at
-  // least one writes. Union every accessor with the slot's first writer;
-  // same partition as analysis::analyze_account_block_slots, computed
-  // independently from the sink side of the loop.
-  {
-    core::DisjointSets dsu(n);
-    std::unordered_map<account::SlotAccess, std::uint32_t,
-                       account::SlotAccessHash>
-        first_writer;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (const account::SlotAccess& w : receipts[i].writes) {
-        auto [it, fresh] = first_writer.emplace(w, i);
-        if (!fresh) dsu.merge(it->second, i);
-      }
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (const account::SlotAccess& r : receipts[i].reads) {
-        auto it = first_writer.find(r);
-        if (it != first_writer.end()) dsu.merge(it->second, i);
-      }
-    }
-    std::unordered_map<std::size_t, std::size_t> component_size;
-    for (std::size_t i = 0; i < n; ++i) ++component_size[dsu.find(i)];
-    std::map<std::size_t, std::size_t> histogram;  // size -> component count
-    for (const auto& [root, size] : component_size) {
-      (void)root;
-      ++histogram[size];
-      block.lcc_txs = std::max(block.lcc_txs, size);
-      if (size >= 2) block.conflicted_txs += size;
-    }
-    block.num_components = component_size.size();
-    for (const auto& [size, count] : histogram) {
-      block.component_histogram.push_back(ComponentBucket{size, count});
-    }
-    if (n > 0) {
-      block.measured_c =
-          static_cast<double>(block.conflicted_txs) / static_cast<double>(n);
-      block.measured_l =
-          static_cast<double>(block.lcc_txs) / static_cast<double>(n);
-    }
-  }
-
-  // --- measured conflicts, address granularity (the paper's TDG) ----
-  // Same edge rules as analysis::build_account_tdg: sender -> receiver
-  // (creations edge to the deployed address) plus every internal tx.
-  {
-    std::unordered_map<Address, std::size_t> id_of;
-    core::DisjointSets dsu(0);
-    auto intern = [&](const Address& a) {
-      auto [it, fresh] = id_of.emplace(a, dsu.size());
-      if (fresh) dsu.add();
-      return it->second;
-    };
-    std::vector<std::size_t> sender_node(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const account::AccountTx& tx = txs_[i];
-      Address to;
-      if (tx.to.has_value()) {
-        to = *tx.to;
-      } else if (receipts[i].created.has_value()) {
-        to = *receipts[i].created;
-      } else {
-        to = Address::derive_contract(tx.from, tx.nonce);
-      }
-      sender_node[i] = intern(tx.from);
-      dsu.merge(sender_node[i], intern(to));
-      for (const account::InternalTx& itx : receipts[i].internal_txs) {
-        dsu.merge(intern(itx.from), intern(itx.to));
-      }
-    }
-    std::unordered_map<std::size_t, std::size_t> txs_per_component;
-    for (std::size_t i = 0; i < n; ++i) {
-      ++txs_per_component[dsu.find(sender_node[i])];
-    }
-    std::size_t conflicted = 0;
-    std::size_t lcc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t members = txs_per_component[dsu.find(sender_node[i])];
-      if (members >= 2) ++conflicted;
-      lcc = std::max(lcc, members);
-    }
-    if (n > 0) {
-      block.measured_c_address =
-          static_cast<double>(conflicted) / static_cast<double>(n);
-      block.measured_l_address =
-          static_cast<double>(lcc) / static_cast<double>(n);
-    }
-  }
-
-  // --- prediction quality -------------------------------------------
-  if (has_prediction_) {
-    block.has_prediction = true;
-    std::unordered_set<Address> predicted;
-    std::unordered_set<Address> observed;
-    for (std::size_t i = 0; i < n; ++i) {
-      predicted.clear();
-      observed.clear();
-      for (const Address& a : predicted_[i]) predicted.insert(a);
-      for (const account::SlotAccess& r : receipts[i].reads) {
-        observed.insert(r.address);
-      }
-      for (const account::SlotAccess& w : receipts[i].writes) {
-        observed.insert(w.address);
-      }
-      block.predicted_addresses += predicted.size();
-      block.observed_addresses += observed.size();
-      for (const Address& a : observed) {
-        if (predicted.count(a) != 0) ++block.overlap_addresses;
-      }
-    }
-    if (block.predicted_addresses > 0) {
-      block.precision = static_cast<double>(block.overlap_addresses) /
-                        static_cast<double>(block.predicted_addresses);
-    }
-    if (block.observed_addresses > 0) {
-      block.recall = static_cast<double>(block.overlap_addresses) /
-                     static_cast<double>(block.observed_addresses);
-      block.over_approx = static_cast<double>(block.predicted_addresses) /
-                          static_cast<double>(block.observed_addresses);
-    }
-  }
-
-  // --- per-key counts -----------------------------------------------
-  block.total_touches = sink_.total_touches();
-  sink_.touches().for_each([&](const TouchKey& key, std::uint64_t count) {
-    block.hot_keys.push_back(HotKey{key, count, {}});
-  });
-  rank(block.hot_keys);
-  sink_.aborts().for_each([&](const TouchKey& key, const AbortCounts& counts) {
-    block.abort_keys.push_back(HotKey{key, total_of(counts), counts});
-  });
-  rank(block.abort_keys);
-  block.sink_abort_totals = sink_.abort_totals();
-  return block;
-}
-
 // ------------------------------------------------------------ rendering
 
 namespace {
@@ -378,16 +180,14 @@ void write_text(std::ostream& out, const BlockContention& block,
     out << ' ' << b.size << "x" << b.count;
   }
   out << '\n';
-  if (block.has_prediction) {
-    out << "prediction quality: precision=" << block.precision
-        << " recall=" << block.recall << " over_approx=" << block.over_approx
-        << " (predicted " << block.predicted_addresses << ", observed "
-        << block.observed_addresses << ", overlap "
-        << block.overlap_addresses << ")\n";
-  } else {
-    out << "prediction quality: (no predicted closures loaded)\n";
-  }
-  out << "aborts: " << total_of(block.engine_abort_totals)
+  out << "prediction quality: precision=" << block.precision
+      << " recall=" << block.recall << " over_approx=" << block.over_approx
+      << " (predicted " << block.predicted_addresses << ", observed "
+      << block.observed_addresses << ", overlap " << block.overlap_addresses
+      << ")\n";
+  out << "aborts: "
+      << std::accumulate(block.engine_abort_totals.begin(),
+                         block.engine_abort_totals.end(), std::uint64_t{0})
       << " reported by the engine";
   bool any = false;
   for (std::size_t r = 0; r < kNumAbortReasons; ++r) {
@@ -439,9 +239,7 @@ void write_json(std::ostream& out, const BlockContention& block,
     out << "{\"size\":" << block.component_histogram[i].size
         << ",\"count\":" << block.component_histogram[i].count << '}';
   }
-  out << "],\"prediction\":{\"available\":"
-      << (block.has_prediction ? "true" : "false")
-      << ",\"precision\":" << block.precision
+  out << "],\"prediction\":{\"precision\":" << block.precision
       << ",\"recall\":" << block.recall
       << ",\"over_approx\":" << block.over_approx
       << ",\"predicted_addresses\":" << block.predicted_addresses

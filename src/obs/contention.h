@@ -3,20 +3,20 @@
 //
 // The paper's argument rests on two measured quantities — the single-
 // transaction conflict rate `c` and the group conflict rate `l` — but the
-// runtime only ever sees their *predicted* versions. This layer closes
-// the loop from the engines' side: every execution attempt feeds its
-// observed read/write sets into lane-sharded, allocation-free exact
-// counts of (address, slot, channel) touches, engines
-// attribute their aborts (speculative conflicts, fww poisonings,
-// Block-STM estimate-aborts / validation failures) to the
-// specific keys that caused them, and a per-block observer computes
-// measured `c`, `l`, the component-size histogram and the quality of
+// runtime only ever sees their *predicted* versions. This layer holds
+// what the engines need through obs::Scope to close that loop: the
+// uniform abort taxonomy, the (address, slot, channel) touch keys, the
+// lane-sharded sink that counts every execution attempt's observed
+// touches and the keys engines attribute their aborts to (speculative
+// conflicts, fww poisonings, Block-STM estimate-aborts / validation
+// failures), the per-block BlockContention report and its two writers.
+// exec::ContentionProbe (exec/contention_probe.h) drives the sink per
+// block and fills the report: measured `c`, `l` and the component-size
+// histogram through the analysis layer's TDGs, and the quality of
 // `exec::predicted_addresses` closures (precision / recall /
-// over-approximation) from the final receipts.
+// over-approximation).
 //
-// Layering: this header depends on common + core + account only. The
-// prediction closures are computed by exec and handed in as data
-// (see exec/contention_probe.h), so obs never links exec.
+// Layering: this header depends on common + account only.
 #pragma once
 
 #include <array>
@@ -27,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "account/runtime.h"
 #include "account/state.h"
 #include "account/types.h"
 #include "common/flat_table.h"
@@ -213,8 +212,8 @@ struct BlockContention {
 
   /// Measured conflicts at storage-slot granularity (Saraph & Herlihy):
   /// two transactions conflict when they touch the same (address, slot)
-  /// and at least one writes — computed from the final receipts' recorded
-  /// access sets, not from any prediction.
+  /// and at least one writes — analysis::account_slot_components over the
+  /// final receipts' recorded access sets, not any prediction.
   std::size_t conflicted_txs = 0;
   std::size_t lcc_txs = 0;
   std::size_t num_components = 0;
@@ -223,9 +222,9 @@ struct BlockContention {
   std::vector<ComponentBucket> component_histogram;
 
   /// Measured conflicts at address granularity (the paper's TDG over
-  /// sender/receiver/internal-tx edges) — directly comparable to the
-  /// workload generator's calibrated intent via
-  /// analysis::analyze_account_block (the bench_gate --contend check).
+  /// sender/receiver/internal-tx edges): analysis::analyze_account_block
+  /// over the engine's final receipts. The bench_gate --contend check
+  /// compares it with the same function over sequential's receipts.
   double measured_c_address = 0.0;
   double measured_l_address = 0.0;
 
@@ -238,7 +237,6 @@ struct BlockContention {
   double precision = 1.0;
   double recall = 1.0;
   double over_approx = 1.0;
-  bool has_prediction = false;
 
   /// Every touched key and every abort-attributed key, by descending
   /// count, ties by ascending key.
@@ -249,42 +247,6 @@ struct BlockContention {
   /// keyless reasons) vs the engine's authoritative report tallies.
   AbortCounts sink_abort_totals{};
   AbortCounts engine_abort_totals{};
-};
-
-// ---------------------------------------------------------- observer
-
-/// The per-block driver: an account::AccessRecorder that feeds every
-/// execution attempt's observed access sets into the sink, plus the cold
-/// post-block analysis producing a BlockContention. Install it through
-/// RuntimeConfig::recorder (or HistoryReplayer::set_access_recorder) and
-/// point Scope::contention at sink() so engines can attribute aborts.
-///
-/// Lifecycle per block: begin_block(txs) → [engine runs; hooks and abort
-/// sites fire concurrently] → finish_block(receipts). Prediction closures
-/// are optional data, loaded with set_predicted (exec computes them; see
-/// exec/contention_probe.h).
-class ContentionObserver final : public account::AccessRecorder {
- public:
-  ContentionSink& sink() { return sink_; }
-  const ContentionSink& sink() const { return sink_; }
-
-  void begin_block(std::span<const account::AccountTx> txs);
-  /// Load transaction `tx_index`'s predicted address closure.
-  void set_predicted(std::size_t tx_index, std::span<const Address> closure);
-  /// Merge the sink and compute the block's measured metrics from the
-  /// final receipts (cold path; allocates freely).
-  BlockContention finish_block(std::span<const account::Receipt> receipts);
-
-  // AccessRecorder: fires per execution attempt from every pool worker.
-  void on_begin(const account::AccountTx& tx) const override;
-  void on_complete(const account::AccountTx& tx,
-                   const account::Receipt& receipt) const override;
-
- private:
-  mutable ContentionSink sink_;
-  std::span<const account::AccountTx> txs_;
-  std::vector<std::vector<Address>> predicted_;
-  bool has_prediction_ = false;
 };
 
 // ---------------------------------------------------------- rendering

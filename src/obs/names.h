@@ -88,8 +88,6 @@ inline constexpr const char* kMetricExecLargestComponentTxs =
     "exec.largest_component_txs";
 inline constexpr const char* kMetricExecBlockStmValidations =
     "exec.block_stm_validations";
-inline constexpr const char* kMetricExecBlockStmAborts =
-    "exec.block_stm_aborts";
 /// Per-reason abort counters: kMetricExecAbortPrefix +
 /// obs::abort_reason_name(reason), e.g. "exec.abort.spec_conflict"
 /// (obs::abort_metric_name holds the table).

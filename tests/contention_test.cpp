@@ -1,8 +1,8 @@
 // Contention explainer tests (DESIGN.md §17).
 //
 // Covers the sink's exact per-key counts and their lane merge against a
-// hand-computed multi-threaded recording, the observer's measured-c/l
-// and prediction-quality arithmetic on synthetic receipts, and — with a
+// hand-computed multi-threaded recording, the probe's measured-c/l and
+// the prediction-quality arithmetic on synthetic receipts, and — with a
 // counting operator new, mirroring hotpath_test — the promise that the
 // warm sink hot path performs ZERO heap allocations.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 
 #include "account/state.h"
 #include "account/types.h"
+#include "exec/contention_probe.h"
 #include "obs/contention.h"
 
 // ------------------------------------------------- allocation counting
@@ -170,9 +171,9 @@ TEST(ContentionSink, MergedCountsAreExactAndIndependentOfRecordOrder) {
   }
 
   const auto run = [&](bool reversed) {
-    obs::ContentionObserver observer;
-    observer.begin_block({});
-    obs::ContentionSink& sink = observer.sink();
+    exec::ContentionProbe probe;
+    probe.before_block({}, account::StateDb{});
+    obs::ContentionSink& sink = *probe.sink();
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
@@ -191,7 +192,8 @@ TEST(ContentionSink, MergedCountsAreExactAndIndependentOfRecordOrder) {
       });
     }
     for (std::thread& t : threads) t.join();
-    return observer.finish_block({});
+    probe.after_block(exec::ExecutionReport{});
+    return probe.blocks().back();
   };
   const auto expect_keys = [](const std::vector<obs::HotKey>& got,
                               const std::vector<obs::HotKey>& want) {
@@ -221,7 +223,7 @@ TEST(ContentionSink, MergedCountsAreExactAndIndependentOfRecordOrder) {
   EXPECT_EQ(a.str(), b.str());
 }
 
-// ------------------------------------------------------------ observer
+// --------------------------------------------------------------- probe
 
 // Three synthetic transactions with hand-computable conflicts:
 //   tx0 (a1 -> a2) writes (a2, slot 7)
@@ -248,17 +250,31 @@ class SyntheticBlock : public ::testing::Test {
     receipts_[2].writes.push_back(account::SlotAccess{addr(6), 1});
   }
 
+  /// Open the block on the probe and record every receipt's touches.
+  void begin() {
+    probe_.before_block(txs_, state_);
+    for (std::size_t i = 0; i < txs_.size(); ++i) {
+      probe_.on_complete(txs_[i], receipts_[i]);
+    }
+  }
+
+  /// Close the block over the final receipts.
+  obs::BlockContention finish() {
+    exec::ExecutionReport report;
+    report.receipts = receipts_;
+    probe_.after_block(report);
+    return probe_.blocks().back();
+  }
+
   std::vector<account::AccountTx> txs_;
   std::vector<account::Receipt> receipts_;
+  account::StateDb state_;
+  exec::ContentionProbe probe_;
 };
 
 TEST_F(SyntheticBlock, MeasuredRatesAndHistogramMatchHandComputation) {
-  obs::ContentionObserver observer;
-  observer.begin_block(txs_);
-  for (std::size_t i = 0; i < txs_.size(); ++i) {
-    observer.on_complete(txs_[i], receipts_[i]);
-  }
-  const obs::BlockContention block = observer.finish_block(receipts_);
+  begin();
+  const obs::BlockContention block = finish();
   EXPECT_EQ(block.num_txs, 3u);
   EXPECT_EQ(block.conflicted_txs, 2u);
   EXPECT_EQ(block.lcc_txs, 2u);
@@ -280,25 +296,18 @@ TEST_F(SyntheticBlock, MeasuredRatesAndHistogramMatchHandComputation) {
   EXPECT_EQ(block.hot_keys.front().count, 2u);
   EXPECT_EQ(block.hot_keys.back().key, skey(6, 1));
   EXPECT_EQ(block.hot_keys.back().count, 1u);
-  EXPECT_FALSE(block.has_prediction);
 }
 
 TEST_F(SyntheticBlock, PrecisionRecallOnOverApproximatedClosure) {
-  obs::ContentionObserver observer;
-  observer.begin_block(txs_);
   // Over-approximated but sound closures: every observed address is
   // predicted, plus extras that execution never touched.
-  const std::vector<Address> c0 = {addr(2), addr(1)};  // observed: {a2}
-  const std::vector<Address> c1 = {addr(2), addr(3)};  // observed: {a2}
-  const std::vector<Address> c2 = {addr(6)};           // observed: {a6}
-  observer.set_predicted(0, c0);
-  observer.set_predicted(1, c1);
-  observer.set_predicted(2, c2);
-  for (std::size_t i = 0; i < txs_.size(); ++i) {
-    observer.on_complete(txs_[i], receipts_[i]);
-  }
-  const obs::BlockContention block = observer.finish_block(receipts_);
-  ASSERT_TRUE(block.has_prediction);
+  const std::vector<std::vector<Address>> closures = {
+      {addr(2), addr(1)},  // observed: {a2}
+      {addr(2), addr(3)},  // observed: {a2}
+      {addr(6)},           // observed: {a6}
+  };
+  obs::BlockContention block;
+  exec::score_prediction(closures, receipts_, block);
   // Micro-averaged: |P| = 2+2+1 = 5, |O| = 1+1+1 = 3, overlap = 3.
   EXPECT_EQ(block.predicted_addresses, 5u);
   EXPECT_EQ(block.observed_addresses, 3u);
@@ -309,19 +318,11 @@ TEST_F(SyntheticBlock, PrecisionRecallOnOverApproximatedClosure) {
 }
 
 TEST_F(SyntheticBlock, UnsoundClosureDropsRecallBelowOne) {
-  obs::ContentionObserver observer;
-  observer.begin_block(txs_);
   // tx0's closure misses the observed a2 entirely.
-  const std::vector<Address> c0 = {addr(1)};
-  observer.set_predicted(0, c0);
-  const std::vector<Address> c1 = {addr(2)};
-  const std::vector<Address> c2 = {addr(6)};
-  observer.set_predicted(1, c1);
-  observer.set_predicted(2, c2);
-  for (std::size_t i = 0; i < txs_.size(); ++i) {
-    observer.on_complete(txs_[i], receipts_[i]);
-  }
-  const obs::BlockContention block = observer.finish_block(receipts_);
+  const std::vector<std::vector<Address>> closures = {
+      {addr(1)}, {addr(2)}, {addr(6)}};
+  obs::BlockContention block;
+  exec::score_prediction(closures, receipts_, block);
   EXPECT_DOUBLE_EQ(block.recall, 2.0 / 3.0);
   EXPECT_LT(block.recall, 1.0);  // what bench_gate --contend trips on
 }
@@ -336,13 +337,9 @@ TEST_F(SyntheticBlock, BalanceSentinelMapsToBalanceChannel) {
 }
 
 TEST_F(SyntheticBlock, RendersTextAndJsonWithAbortBreakdown) {
-  obs::ContentionObserver observer;
-  observer.begin_block(txs_);
-  for (std::size_t i = 0; i < txs_.size(); ++i) {
-    observer.on_complete(txs_[i], receipts_[i]);
-  }
-  observer.sink().record_abort(AbortReason::kSpecConflict, skey(2, 7));
-  obs::BlockContention block = observer.finish_block(receipts_);
+  begin();
+  probe_.sink()->record_abort(AbortReason::kSpecConflict, skey(2, 7));
+  obs::BlockContention block = finish();
   block.engine_abort_totals = block.sink_abort_totals;
   std::ostringstream text;
   obs::write_text(text, block);

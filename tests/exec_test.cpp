@@ -654,6 +654,12 @@ TEST_F(ExecutorRig, EveryEngineKeepsTheBlockContract) {
       EXPECT_EQ(
           registry.histogram(obs::names::kMetricExecConflictStallUs).count(),
           spec.parallel ? 1u : 0u);
+      for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
+        const auto reason = static_cast<obs::AbortReason>(r);
+        EXPECT_EQ(registry.counter(obs::abort_metric_name(reason)).value(),
+                  report.abort_reasons[r])
+            << obs::abort_reason_name(reason);
+      }
     }
   }
 }

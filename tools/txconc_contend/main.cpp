@@ -68,12 +68,12 @@ std::string check_block(const obs::BlockContention& b) {
   if (bad_rate(b.precision) || bad_rate(b.recall)) {
     return "precision/recall out of [0,1]";
   }
-  if (b.has_prediction && b.recall < 1.0 - 1e-12) {
+  if (b.recall < 1.0 - 1e-12) {
     // The a-priori closure is sound for the shipped contract library
     // (exec/predict.h), so every observed address must be predicted.
     return "sound closure missed an observed address (recall < 1)";
   }
-  if (b.has_prediction && b.over_approx + 1e-12 < 1.0) {
+  if (b.over_approx + 1e-12 < 1.0) {
     return "over-approximation ratio below 1 despite recall 1";
   }
   for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     exec::HistoryReplayer replayer(profile, seed, skip);
     replayer.set_obs(&scope);
     replayer.set_block_observer(&probe);
-    replayer.set_access_recorder(probe.recorder());
+    replayer.set_access_recorder(&probe);
     for (std::uint64_t b = 0; b < blocks && replayer.remaining() > 0; ++b) {
       replayer.replay_next(*executor);
     }
